@@ -35,6 +35,14 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class Limits:
+    """Resource limits for classify_behavior.
+
+    The next iterate has one vertex per maximal clique, so the smaller of
+    max_cliques and max_vertices bounds each clique enumeration and no
+    iterate past max_vertices is built. Such a stop is labelled
+    "clique-cap" if max_cliques <= max_vertices, else "vertex-cap".
+    """
+
     max_iterations: int = 30
     max_vertices: int = 20_000
     max_cliques: int = 2_000_000
@@ -390,24 +398,15 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
         if i == limits.max_iterations:
             break
         try:
-            nxt, _ = clique_graph(cur, cap=limits.max_cliques)
+            cur, _ = clique_graph(cur, cap=min(limits.max_cliques, limits.max_vertices))
         except CliqueLimitError:
             return BehaviorResult(
                 "unknown",
-                limit="clique-cap",
+                limit="clique-cap" if limits.max_cliques <= limits.max_vertices else "vertex-cap",
                 iterations_done=i,
                 max_order_seen=max_order,
                 trace=build_trace(),
             )
-        if nxt.n > limits.max_vertices:
-            return BehaviorResult(
-                "unknown",
-                limit="vertex-cap",
-                iterations_done=i,
-                max_order_seen=max(max_order, nxt.n),
-                trace=build_trace(),
-            )
-        cur = nxt
     return BehaviorResult(
         "unknown",
         limit="iteration-cap",

@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import graph6
-from .behavior import Limits, classify_behavior
+from .behavior import DEFAULT_LIMITS, Limits, classify_behavior
 from .bounds import bound_table
 from .census import ALL_CHECKS, SEARCH_TARGETS, run_census, search_graphs
 from .cliques import CliqueLimitError, maximal_cliques
@@ -144,9 +144,11 @@ def _limits_from_args(args) -> Limits:
 
 
 def _add_limit_flags(p: argparse.ArgumentParser):
-    p.add_argument("--limit-iter", type=int, default=30, help="max clique-operator iterations")
-    p.add_argument("--limit-vertices", type=int, default=20_000, help="max iterate order")
-    p.add_argument("--limit-cliques", type=int, default=2_000_000, help="max clique count per iterate")
+    d = DEFAULT_LIMITS
+    p.add_argument("--limit-iter", type=int, default=d.max_iterations, help="max clique-operator iterations")
+    p.add_argument("--limit-vertices", type=int, default=d.max_vertices, help="max iterate order")
+    p.add_argument("--limit-cliques", type=int, default=d.max_cliques,
+                   help="max cliques per enumeration; iterates stop at min(this, --limit-vertices)")
 
 
 def _emit(doc: dict, args, human: str | None = None) -> None:

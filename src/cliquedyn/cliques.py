@@ -1,13 +1,12 @@
 """Maximal clique enumeration and the clique graph operator.
 
-Enumeration is recursive extension with pivot selection, all state kept
-in bitmasks. A configurable cap converts runaway clique counts (typical
-for iterated clique graphs of divergent inputs) into a CliqueLimitError
-carrying the partial count instead of an unbounded run.
+Enumeration is Bron-Kerbosch with pivot selection on an explicit stack,
+all state kept in bitmasks. A configurable cap converts runaway clique
+counts (typical for iterated clique graphs of divergent inputs) into a
+CliqueLimitError instead of an unbounded run.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .graphs import Graph, bits
@@ -21,7 +20,6 @@ class CliqueLimitError(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"maximal clique count exceeded the cap of {cap}")
         self.cap = cap
-        self.partial_count = cap
 
 
 @dataclass(frozen=True)
@@ -47,41 +45,40 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueList:
     Order is lexicographic on the sorted vertex tuples. The empty graph
     has no cliques; an isolated vertex is a clique of size one.
     """
-    n = g.n
     rows = g.rows
     out: list[int] = []
-    if n == 0:
+    if g.n == 0:
         return CliqueList(g, ())
-    limit = sys.getrecursionlimit()
-    if n + 64 > limit:
-        sys.setrecursionlimit(n + 128)
-
-    def extend(r: int, p: int, x: int) -> None:
-        if not p and not x:
+    # frames (R, P, X, branches left); never more than |clique| + 1 deep
+    stack: list[tuple[int, int, int, int]] = []
+    r, p, x = 0, g.full_mask(), 0
+    while True:
+        if p:
+            # pivot: vertex of P|X covering most of P
+            pivot = -1
+            best = -1
+            for u in bits(p | x):
+                c = (p & rows[u]).bit_count()
+                if c > best:
+                    best = c
+                    pivot = u
+                    if c == p.bit_count():
+                        break
+            todo = p & ~rows[pivot]
+            if todo:
+                stack.append((r, p, x, todo))
+        elif not x:
             out.append(r)
             if len(out) > cap:
                 raise CliqueLimitError(cap)
-            return
-        # pivot: vertex of P|X covering most of P
-        pivot = -1
-        best = -1
-        for u in bits(p | x):
-            c = (p & rows[u]).bit_count()
-            if c > best:
-                best = c
-                pivot = u
-                if c == p.bit_count():
-                    break
-        for v in bits(p & ~rows[pivot]):
-            vb = 1 << v
-            extend(r | vb, p & rows[v], x & rows[v])
-            p &= ~vb
-            x |= vb
-
-    try:
-        extend(0, g.full_mask(), 0)
-    finally:
-        sys.setrecursionlimit(limit)
+        if not stack:
+            break
+        r, p, x, todo = stack.pop()
+        vb = todo & -todo
+        if todo != vb:
+            stack.append((r, p ^ vb, x | vb, todo ^ vb))
+        row = rows[vb.bit_length() - 1]
+        r, p, x = r | vb, p & row, x & row
     out.sort(key=lambda m: tuple(bits(m)))
     return CliqueList(g, tuple(out))
 

@@ -243,6 +243,7 @@ def _sorted_canonical(graphs) -> tuple[Graph, ...]:
     return tuple(by_form[s] for s in sorted(by_form))
 
 
+@lru_cache(maxsize=None)
 def _regular_classes(k: int, n: int, ceiling: int | None) -> tuple[Graph, ...]:
     if k == 0:
         return (empty_graph(n),)

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquedyn import (
     ConnectedSumCertificate,
@@ -23,6 +24,7 @@ from cliquedyn import (
     join_summands,
     octahedron,
 )
+from cliquedyn.graph6 import decode
 
 from strategies import graphs
 
@@ -170,6 +172,29 @@ def test_unknown_on_tight_limits():
         complement(cycle_graph(7)), Limits(max_iterations=30, max_vertices=20000, max_cliques=3)
     )
     assert r2.status == "unknown" and r2.limit == "clique-cap"
+
+
+def test_vertex_cap_stops_before_building_the_iterate():
+    # complement of a cubic graph on 8 vertices; K(g) has 16 vertices
+    g = decode("G?~vf_")
+    limits = Limits(max_iterations=30, max_vertices=8, max_cliques=2_000_000)
+    r = classify_behavior(g, limits)
+    assert r.status == "unknown" and r.limit == "vertex-cap"
+    assert r.max_order_seen <= limits.max_vertices
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=7), st.integers(1, 16), st.integers(1, 4))
+def test_clique_cap_above_vertex_cap_only_relabels(g, max_vertices, max_iterations):
+    # the clique enumeration is bounded by min(max_cliques, max_vertices),
+    # so raising max_cliques past max_vertices changes only the label
+    tight = classify_behavior(g, Limits(max_iterations, max_vertices, max_vertices))
+    loose = classify_behavior(g, Limits(max_iterations, max_vertices, 10 * max_vertices))
+    a, b = tight.to_json(), loose.to_json()
+    if tight.limit == "clique-cap":
+        assert b.pop("limit") == "vertex-cap"
+        a.pop("limit")
+    assert a == b
 
 
 def test_iteration_cap_reports_unknown():

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -69,7 +70,15 @@ def test_deterministic_order():
 def test_cap_raises_with_partial_count():
     with pytest.raises(CliqueLimitError) as err:
         maximal_cliques(octahedron(5), cap=3)
-    assert err.value.partial_count == 3
+    assert err.value.cap == 3
+
+
+def test_clique_deeper_than_recursion_limit():
+    limit = sys.getrecursionlimit()
+    n = max(1500, limit + 100)
+    cl = maximal_cliques(complete_graph(n))
+    assert cl.masks == ((1 << n) - 1,)
+    assert sys.getrecursionlimit() == limit
 
 
 @given(graphs())
