@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .canon import canonical_form, find_coaffination, is_coaffination
-from .cliques import CliqueLimitError, clique_graph
+from .cliques import CliqueLimitError, clique_graph, maximal_cliques
 from .helly import triangle_count
 from .graphs import (
     Graph,
@@ -161,9 +161,10 @@ def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None
     n = g.n
     if n < 8:
         return None
-    co = complement(g)
-    if any(row.bit_count() != 2 for row in co.rows):
+    # degree n - 3 in g is degree 2 in the complement; only such g build it
+    if any(row.bit_count() != n - 3 for row in g.rows):
         return None
+    co = complement(g)
     if not is_connected(co):
         return None
     # walk the single cycle of the complement
@@ -414,3 +415,16 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
         max_order_seen=max_order,
         trace=build_trace(),
     )
+
+
+def clique_count(g: Graph, result: BehaviorResult, limits: Limits) -> int:
+    """Number of maximal cliques of g, where result = classify_behavior(g, limits).
+
+    Iterate 1, when the trace has it, has one vertex per clique of g and
+    was enumerated under a cap no larger than limits.max_cliques, so its
+    order is the count. Only a shorter trace enumerates g again, which
+    raises CliqueLimitError past limits.max_cliques.
+    """
+    if len(result.trace) >= 2:
+        return result.trace[1].order
+    return len(maximal_cliques(g, cap=limits.max_cliques))

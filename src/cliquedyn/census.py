@@ -15,14 +15,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import graph6
-from .behavior import DEFAULT_LIMITS, Limits, classify_behavior
+from .behavior import DEFAULT_LIMITS, Limits, classify_behavior, clique_count
 from .bounds import (
     cotriangle_adjacency_profile,
     vertex_cotriangle_cap,
     verify_triangle_sum,
 )
 from .canon import are_isomorphic
-from .cliques import CliqueLimitError, maximal_cliques
+from .cliques import CliqueLimitError
 from .graphs import Graph, complement, complete_bipartite, connected_components, induced
 from .helly import check_cotriangle_cover, cotriangle_count, is_helly, triangle_count
 from .regular import RegularGenSpec, enumerate_regular
@@ -130,7 +130,7 @@ def _record_for_graph(task: tuple) -> GraphRecord:
         result = classify_behavior(co, limits)
         rec.behavior = result.to_json()
         try:
-            rec.counts["complement_cliques"] = len(maximal_cliques(co, cap=limits.max_cliques))
+            rec.counts["complement_cliques"] = clique_count(co, result, limits)
         except CliqueLimitError:
             rec.counts["complement_cliques"] = None
     if "triangle-sum" in checks:

@@ -20,10 +20,10 @@ import re
 import sys
 
 from . import graph6
-from .behavior import DEFAULT_LIMITS, Limits, classify_behavior
+from .behavior import DEFAULT_LIMITS, Limits, classify_behavior, clique_count
 from .bounds import bound_table
 from .census import ALL_CHECKS, SEARCH_TARGETS, run_census, search_graphs
-from .cliques import CliqueLimitError, maximal_cliques
+from .cliques import CliqueLimitError
 from .graphs import (
     Graph,
     complement,
@@ -178,8 +178,9 @@ def cmd_analyze(args) -> int:
         "regular": degs[0] if degs and len(set(degs)) == 1 else None,
     }
     code = EXIT_OK
+    result = classify_behavior(g, limits)
     try:
-        doc["clique_count"] = len(maximal_cliques(g, cap=limits.max_cliques))
+        doc["clique_count"] = clique_count(g, result, limits)
     except CliqueLimitError as exc:
         doc["clique_count"] = None
         doc["clique_count_note"] = str(exc)
@@ -189,7 +190,6 @@ def cmd_analyze(args) -> int:
         "is_helly": verdict.is_helly,
         "witness": list(verdict.witness) if verdict.witness else None,
     }
-    result = classify_behavior(g, limits)
     doc["behavior"] = result.to_json()
     if result.status == "unknown":
         code = EXIT_RESOURCE

@@ -199,9 +199,12 @@ def induced(g: Graph, vertices: int | Iterable[int]) -> Graph:
     """Induced subgraph; vertices may be a mask or an iterable of indices.
 
     The new graph uses indices 0..k-1 in increasing order of the original
-    vertex numbers.
+    vertex numbers. A full mask returns g itself. That is safe because a
+    full mask keeps every vertex at its own index and Graph is immutable.
     """
     mask = vertices if isinstance(vertices, int) else mask_of(vertices)
+    if mask == g.full_mask():
+        return g
     keep = list(bits(mask))
     index = {v: i for i, v in enumerate(keep)}
     rows = [0] * len(keep)

@@ -9,6 +9,7 @@ subfamilies of cliques, used to cross-validate the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cliques import maximal_cliques
 from .graphs import Graph, bits, complement
@@ -32,17 +33,19 @@ class HellyVerdict:
         return self.is_helly
 
 
-def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All 3-vertex completes, each once, ordered lexicographically."""
-    out = []
+def _iter_triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
     rows = g.rows
     for u in range(g.n):
         ru = rows[u] >> (u + 1)
         for off in bits(ru):
             v = u + 1 + off
             for w in bits(rows[u] & (rows[v] >> (v + 1) << (v + 1))):
-                out.append((u, v, w))
-    return out
+                yield (u, v, w)
+
+
+def triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """All 3-vertex completes, each once, ordered lexicographically."""
+    return list(_iter_triangles(g))
 
 
 def triangle_count(g: Graph) -> int:
@@ -104,9 +107,10 @@ def is_helly(g: Graph) -> HellyVerdict:
     """Decide the clique-Helly property via extended triangles.
 
     Triangle-free graphs are Helly vacuously. A negative verdict carries
-    a witness triangle whose extended triangle has no apex.
+    a witness triangle whose extended triangle has no apex: the first in
+    lexicographic order, found without listing the triangles after it.
     """
-    for t in triangles(g):
+    for t in _iter_triangles(g):
         a, b, c = t
         ra, rb, rc = g.rows[a], g.rows[b], g.rows[c]
         ext = (ra & rb) | (ra & rc) | (rb & rc)

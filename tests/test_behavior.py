@@ -46,7 +46,7 @@ def test_join_summands_examples():
 
     c5 = cycle_graph(5)
     parts = join_summands(c5)
-    assert len(parts) == 1 and parts[0][1] == c5
+    assert len(parts) == 1 and parts[0][1] is c5
 
     with pytest.raises(ValueError):
         join_summands(empty_graph(0))
@@ -90,6 +90,11 @@ def test_cycle_complement_certificates():
         assert certificate_is_valid(g, cert)
     for n in range(4, 8):
         assert divergence_certificate(complement(cycle_graph(n))) is None
+    # complement 2-regular but disconnected: not a cycle complement
+    g = complement(disjoint_union([cycle_graph(4), cycle_graph(5)]))
+    cert = divergence_certificate(g)
+    assert not isinstance(cert, CycleComplementCertificate)
+    assert cert is None or certificate_is_valid(g, cert)
 
 
 def test_connected_sum_certificate():

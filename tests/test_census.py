@@ -6,11 +6,13 @@ from cliquedyn import (
     Limits,
     are_isomorphic,
     canonical_form,
+    complement,
     complete_bipartite,
     cycle_graph,
     disjoint_union,
+    maximal_cliques,
 )
-from cliquedyn.census import run_census, search_graphs
+from cliquedyn.census import ALL_CHECKS, run_census, search_graphs
 from cliquedyn.graph6 import decode
 from cliquedyn.regular import RegularGenSpec
 
@@ -89,6 +91,18 @@ def test_census_cotriangle_checks():
     eq = rep.exemplars["cap-equality"]
     target = canon(disjoint_union([complete_bipartite(3, 3)] * 2))
     assert any(canon(decode(s)) == target for s in eq)
+
+
+@pytest.mark.parametrize("limits", [TIGHT, Limits(3, 5, 12)])
+def test_complement_cliques_match_enumeration_and_trace(limits):
+    rep = run_census(RegularGenSpec(k=3, n=8), checks=ALL_CHECKS, limits=limits)
+    for r in rep.records:
+        count = len(maximal_cliques(complement(decode(r.graph6))))
+        expected = count if count <= limits.max_cliques else None
+        assert r.counts["complement_cliques"] == expected
+        trace = r.behavior["trace"]
+        if len(trace) >= 2:
+            assert r.counts["complement_cliques"] == trace[1][0]
 
 
 def test_helly_complement_never_classifies_divergent():

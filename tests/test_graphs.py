@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquedyn import (
     Graph,
@@ -116,6 +117,31 @@ def test_induced_and_relabel():
     assert set(back.degrees()) == {2}
     with pytest.raises(ValueError):
         relabel(c5, [0, 0, 1, 2, 3])
+
+
+def test_induced_full_mask_returns_the_graph():
+    c5 = cycle_graph(5)
+    assert induced(c5, c5.full_mask()) is c5
+    assert induced(c5, range(c5.n)) is c5
+
+
+def _induced_bit_by_bit(g, mask):
+    keep = list(bits(mask))
+    index = {v: i for i, v in enumerate(keep)}
+    rows = [0] * len(keep)
+    for v in keep:
+        for w in bits(g.rows[v] & mask):
+            rows[index[v]] |= 1 << index[w]
+    return Graph(len(keep), rows)
+
+
+@given(graphs(), st.data())
+def test_induced_matches_bit_by_bit_reference(g, data):
+    mask = data.draw(
+        st.sampled_from([0, g.full_mask()]) | st.integers(0, g.full_mask()),
+        label="mask",
+    )
+    assert induced(g, mask) == _induced_bit_by_bit(g, mask)
 
 
 def test_components():

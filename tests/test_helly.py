@@ -109,6 +109,11 @@ def test_helly_witness_is_sound():
     assert t in helly_witnesses(o3)
 
 
+@given(graphs())
+def test_helly_witness_is_first_of_all_witnesses(g):
+    assert is_helly(g).witness == (helly_witnesses(g) or [None])[0]
+
+
 def test_triangle_free_graphs_are_helly():
     assert is_helly(petersen()).is_helly
     assert is_helly(cycle_graph(9)).is_helly
