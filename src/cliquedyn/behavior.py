@@ -54,6 +54,9 @@ class Limits:
 
 DEFAULT_LIMITS = Limits()
 
+# search-node budget for each summand's coaffination in divergence_certificate
+COAFF_NODE_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class OctahedronCertificate:
@@ -177,7 +180,7 @@ def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None
     return CycleComplementCertificate(n, tuple(mapping))
 
 
-def divergence_certificate(g: Graph, coaff_node_cap: int = 200_000) -> Certificate | None:
+def divergence_certificate(g: Graph) -> Certificate | None:
     """First applicable divergence certificate, or None.
 
     Checked in a fixed order for reproducibility: octahedron, cycle
@@ -186,18 +189,15 @@ def divergence_certificate(g: Graph, coaff_node_cap: int = 200_000) -> Certifica
     """
     if g.n == 0:
         return None
-    cert = _octahedron_certificate(g)
-    if cert is not None and cert.m >= 3:
+    cert = _octahedron_certificate(g) or _cycle_complement_certificate(g)
+    if cert is not None:
         return cert
-    ccert = _cycle_complement_certificate(g)
-    if ccert is not None:
-        return ccert
     summands = join_summands(g)
     if len(summands) < 2:
         return None
     coaffs = []
     for _, part in summands:
-        sigma = find_coaffination(part, node_cap=coaff_node_cap)
+        sigma = find_coaffination(part, node_cap=COAFF_NODE_CAP)
         if sigma is None:
             return None
         coaffs.append(sigma)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .graphs import Graph, bits, complement
-from .helly import cotriangles, triangle_count
+from .helly import _two_neighbor_mask, cotriangles, triangle_count
 
 
 def triangle_sum_rhs(n: int, k: int) -> int:
@@ -115,10 +115,8 @@ def count_cotriangles_at_vertex(g: Graph, x: int) -> int:
 def cotriangle_adjacency_profile(g: Graph) -> list[int]:
     """Per-vertex cotriangle adjacency counts, from one pass over cotriangles."""
     counts = [0] * g.n
-    rows = g.rows
-    for a, b, c in cotriangles(g):
-        ra, rb, rc = rows[a], rows[b], rows[c]
-        for v in bits((ra & rb) | (ra & rc) | (rb & rc)):
+    for t in cotriangles(g):
+        for v in bits(_two_neighbor_mask(g, t)):
             counts[v] += 1
     return counts
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import graph6
-from .graphs import Graph, bits, mask_of, relabel
+from .graphs import Graph, bits, mask_of
 
 # generators kept per canonization; beyond this the group is already
 # collapsing the tree well enough
@@ -171,11 +171,10 @@ def canonical_labeling(g: Graph) -> list[int]:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    label = canonical_labeling(g)
-    inv = [0] * g.n
-    for pos, v in enumerate(label):
-        inv[v] = pos
-    return relabel(g, inv)
+    """g relabeled by canonical_labeling; the rows are the search's best leaf."""
+    search = _CanonSearch(g)
+    search.run()
+    return Graph(g.n, search.best or ())
 
 
 def canonical_form(g: Graph) -> str:

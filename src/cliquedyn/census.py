@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 
 from . import graph6
 from .behavior import DEFAULT_LIMITS, Limits, classify_behavior, clique_count
-from .bounds import (
-    cotriangle_adjacency_profile,
-    vertex_cotriangle_cap,
-    verify_triangle_sum,
-)
+from .bounds import cotriangle_adjacency_profile, triangle_sum_rhs, vertex_cotriangle_cap
 from .canon import are_isomorphic
 from .cliques import CliqueLimitError
 from .graphs import Graph, complement, complete_bipartite, connected_components, induced
-from .helly import check_cotriangle_cover, cotriangle_count, is_helly, triangle_count
+from .helly import check_cotriangle_cover, is_helly, triangle_count
 from .regular import RegularGenSpec, enumerate_regular
 
 ALL_CHECKS = ("helly", "behavior", "triangle-sum", "cotriangle-bound", "cotriangle-cover")
@@ -120,7 +116,7 @@ def _record_for_graph(task: tuple) -> GraphRecord:
     rec.counts = {
         "edges": g.edge_count(),
         "triangles": triangle_count(g),
-        "cotriangles": cotriangle_count(g),
+        "cotriangles": triangle_count(co),
     }
     if "helly" in checks or "cotriangle-cover" in checks:
         verdict = is_helly(co)
@@ -134,7 +130,9 @@ def _record_for_graph(task: tuple) -> GraphRecord:
         except CliqueLimitError:
             rec.counts["complement_cliques"] = None
     if "triangle-sum" in checks:
-        rec.triangle_sum_ok = verify_triangle_sum(g)
+        rec.triangle_sum_ok = (
+            rec.counts["triangles"] + rec.counts["cotriangles"] == triangle_sum_rhs(g.n, k)
+        )
     if "cotriangle-bound" in checks and g.n >= 4 * k:
         cap = vertex_cotriangle_cap(g.n, k)
         profile = cotriangle_adjacency_profile(g)
@@ -224,18 +222,14 @@ def run_census(
 
 
 def search_graphs(
-    k: int,
-    n: int,
+    spec: RegularGenSpec,
     target: str,
-    budget: int | None = None,
-    seed: int = 0,
     limits: Limits = DEFAULT_LIMITS,
-    connected_only: bool = False,
-    mode: str = "exhaustive",
+    budget: int | None = None,
     max_hits: int | None = None,
     ceiling: int | None = None,
 ) -> list[dict]:
-    """Stream candidates through a target predicate and collect hits.
+    """Stream the graphs of `spec` through a target predicate and collect hits.
 
     Targets: convergent-nonhelly-complement, helly-complement,
     divergent-complement. `budget` caps the number of candidates
@@ -245,23 +239,10 @@ def search_graphs(
     """
     if target not in SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}; use one of {SEARCH_TARGETS}")
-    if mode == "exhaustive":
-        spec = RegularGenSpec(k=k, n=n, connected_only=connected_only)
-    else:
-        spec = RegularGenSpec(
-            k=k,
-            n=n,
-            mode="random",
-            count=budget or 1000,
-            seed=seed,
-            connected_only=connected_only,
-        )
     hits: list[dict] = []
-    examined = 0
-    for g in enumerate_regular(spec, ceiling=ceiling):
+    for examined, g in enumerate(enumerate_regular(spec, ceiling=ceiling)):
         if budget is not None and examined >= budget:
             break
-        examined += 1
         co = complement(g)
         verdict = is_helly(co)
         evidence: dict = {"helly": verdict.is_helly}

@@ -8,8 +8,9 @@ constructor expressions:
     cycle N | complete N | empty N | octahedron M | complete_bipartite A B
     union(EXPR, EXPR, ...) | join(EXPR, EXPR, ...) | complement(EXPR)
 
-Exit codes: 0 success, 1 search found nothing, 2 bad input, 3 a
-resource limit truncated the result.
+Exit codes: 0 success, 1 search found nothing, 2 bad input (one
+"<command> error:" line on stderr), 3 a resource limit truncated the
+result.
 """
 from __future__ import annotations
 
@@ -143,32 +144,28 @@ def _limits_from_args(args) -> Limits:
     )
 
 
-def _add_limit_flags(p: argparse.ArgumentParser):
-    d = DEFAULT_LIMITS
-    p.add_argument("--limit-iter", type=int, default=d.max_iterations, help="max clique-operator iterations")
-    p.add_argument("--limit-vertices", type=int, default=d.max_vertices, help="max iterate order")
-    p.add_argument("--limit-cliques", type=int, default=d.max_cliques,
-                   help="max cliques per enumeration; iterates stop at min(this, --limit-vertices)")
+def _spec_from_args(args, count: int) -> RegularGenSpec:
+    return RegularGenSpec(
+        k=args.k,
+        n=args.n,
+        mode="random" if args.random else "exhaustive",
+        count=count,
+        seed=args.seed,
+        connected_only=args.connected,
+    )
 
 
-def _emit(doc: dict, args, human: str | None = None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _emit(doc: dict | str, args, human: str) -> None:
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if getattr(args, "format", "table") == "json":
-        print(text)
-    elif human is not None:
-        print(human)
+    print(text if args.format == "json" else human)
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = load_input(args.input)
-        g.validate()
-    except (ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = load_input(args.input)
+    g.validate()
     limits = _limits_from_args(args)
     doc: dict = {"input": args.input, "order": g.n, "edges": g.edge_count()}
     degs = g.degrees()
@@ -211,60 +208,33 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_census(args) -> int:
-    spec = RegularGenSpec(
-        k=args.k,
-        n=args.n,
-        mode="random" if args.random else "exhaustive",
-        count=args.count,
-        seed=args.seed,
-        connected_only=args.connected,
+    report = run_census(
+        _spec_from_args(args, args.count),
+        checks=tuple(args.check) if args.check else ALL_CHECKS,
+        limits=_limits_from_args(args),
+        jobs=args.jobs,
+        ceiling=args.ceiling,
     )
-    checks = tuple(args.check) if args.check else ALL_CHECKS
-    try:
-        report = run_census(
-            spec,
-            checks=checks,
-            limits=_limits_from_args(args),
-            jobs=args.jobs,
-            ceiling=args.ceiling,
-        )
-    except ValueError as exc:
-        print(f"census error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    text = report.to_json()
+    totals = [f"  {key}: {val}" for key, val in sorted(report.totals.items())]
+    _emit(report.to_json(), args,
+          "\n".join([f"census k={args.k} n={args.n}: {report.total} graphs"] + totals))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         for name, members in sorted(report.exemplars.items()):
-            path = f"{args.out}.{name}.g6"
-            with open(path, "w") as fh:
+            with open(f"{args.out}.{name}.g6", "w") as fh:
                 fh.write("\n".join(members) + "\n")
-    if args.format == "json":
-        print(text)
-    else:
-        print(f"census k={args.k} n={args.n}: {report.total} graphs")
-        for key, val in sorted(report.totals.items()):
-            print(f"  {key}: {val}")
     return EXIT_RESOURCE if report.any_unknown else EXIT_OK
 
 
 def cmd_search(args) -> int:
-    try:
-        hits = search_graphs(
-            k=args.k,
-            n=args.n,
-            target=args.target,
-            budget=args.budget,
-            seed=args.seed,
-            limits=_limits_from_args(args),
-            connected_only=args.connected,
-            mode="random" if args.random else "exhaustive",
-            max_hits=args.max_hits,
-            ceiling=args.ceiling,
-        )
-    except ValueError as exc:
-        print(f"search error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # random mode draws --budget samples, 1000 without one
+    hits = search_graphs(
+        _spec_from_args(args, args.budget or 1000),
+        args.target,
+        limits=_limits_from_args(args),
+        budget=args.budget,
+        max_hits=args.max_hits,
+        ceiling=args.ceiling,
+    )
     doc = {"k": args.k, "n": args.n, "target": args.target, "hits": hits}
     _emit(doc, args, f"{len(hits)} hit(s)\n" + "\n".join(h["graph6"] for h in hits))
     return EXIT_OK if hits else EXIT_NO_HIT
@@ -283,19 +253,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = RegularGenSpec(
-        k=args.k,
-        n=args.n,
-        mode="random" if args.random else "exhaustive",
-        count=args.count,
-        seed=args.seed,
-        connected_only=args.connected,
-    )
-    try:
-        graphs = list(enumerate_regular(spec, ceiling=args.ceiling))
-    except ValueError as exc:
-        print(f"gen error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    graphs = enumerate_regular(_spec_from_args(args, args.count), ceiling=args.ceiling)
     text = "\n".join(graph6.encode(g) for g in graphs)
     if args.out:
         with open(args.out, "w") as fh:
@@ -315,69 +273,65 @@ def build_parser() -> argparse.ArgumentParser:
             "Files may hold graph6 lines or an edge list ('n m' header, then 'u v' lines)."
         ),
     )
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", help="write the JSON report here (census adds exemplar .g6 files)")
+    report.add_argument("--format", choices=("table", "json"), default="table")
+    limits = argparse.ArgumentParser(add_help=False)
+    d = DEFAULT_LIMITS
+    limits.add_argument("--limit-iter", type=int, default=d.max_iterations,
+                        help="max clique-operator iterations")
+    limits.add_argument("--limit-vertices", type=int, default=d.max_vertices, help="max iterate order")
+    limits.add_argument("--limit-cliques", type=int, default=d.max_cliques,
+                        help="max cliques per enumeration; iterates stop at min(this, --limit-vertices)")
+    generation = argparse.ArgumentParser(add_help=False)
+    generation.add_argument("-k", type=int, required=True)
+    generation.add_argument("-n", type=int, required=True)
+    generation.add_argument("--connected", action="store_true")
+    generation.add_argument("--random", action="store_true", help="sample instead of exhausting")
+    generation.add_argument("--seed", type=int, default=0)
+    generation.add_argument("--ceiling", type=int, default=None, help="exhaustive order ceiling override")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="analyze one graph")
+    p = sub.add_parser("analyze", parents=[report, limits], help="analyze one graph")
     p.add_argument("input", help="graph6 string, file, or constructor expression")
-    p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("census", help="sweep all k-regular graphs on n vertices")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("census", parents=[generation, report, limits],
+                       help="sweep all k-regular graphs on n vertices")
     p.add_argument("--check", action="append", choices=ALL_CHECKS,
                    help="repeatable; default: all checks")
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--random", action="store_true", help="sample instead of exhausting")
     p.add_argument("--count", type=int, default=100, help="sample count for --random")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--ceiling", type=int, default=None, help="exhaustive order ceiling override")
-    p.add_argument("--out", help="write the JSON report (plus exemplar .g6 files) here")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("search", help="search k-regular graphs for a target predicate")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("search", parents=[generation, report, limits],
+                       help="search k-regular graphs for a target predicate")
     p.add_argument("--target", choices=SEARCH_TARGETS, required=True)
-    p.add_argument("--budget", type=int, default=None, help="max candidates examined")
+    p.add_argument("--budget", type=int, default=None,
+                   help="max candidates examined; with --random, the sample count (default 1000)")
     p.add_argument("--max-hits", type=int, default=None)
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ceiling", type=int, default=None)
-    p.add_argument("--out", help="write hits as JSON here")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("bound", help="print threshold/bound table for k = 1..k_max")
+    p = sub.add_parser("bound", parents=[report], help="print threshold/bound table for k = 1..k_max")
     p.add_argument("k_max", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("gen", help="emit graph6 lines for k-regular graphs")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--random", action="store_true")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ceiling", type=int, default=None)
-    p.add_argument("--out")
+    p = sub.add_parser("gen", parents=[generation], help="emit graph6 lines for k-regular graphs")
+    p.add_argument("--count", type=int, default=100, help="sample count for --random")
+    p.add_argument("--out", help="write the graph6 lines here")
     p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise
+    except (ValueError, OSError) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

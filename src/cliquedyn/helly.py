@@ -79,9 +79,14 @@ def extended_triangle(g: Graph, t) -> int:
 
     Contains t itself, since each member is adjacent to the other two.
     """
-    a, b, c = t
-    if not is_triangle(g, (a, b, c)):
+    if not is_triangle(g, t):
         raise ValueError(f"{tuple(t)} is not a triangle of the graph")
+    return _two_neighbor_mask(g, t)
+
+
+def _two_neighbor_mask(g: Graph, t) -> int:
+    """Mask of vertices adjacent to at least two members of the triple t."""
+    a, b, c = t
     ra, rb, rc = g.rows[a], g.rows[b], g.rows[c]
     return (ra & rb) | (ra & rc) | (rb & rc)
 
@@ -111,10 +116,7 @@ def is_helly(g: Graph) -> HellyVerdict:
     lexicographic order, found without listing the triangles after it.
     """
     for t in _iter_triangles(g):
-        a, b, c = t
-        ra, rb, rc = g.rows[a], g.rows[b], g.rows[c]
-        ext = (ra & rb) | (ra & rc) | (rb & rc)
-        if not _ext_has_apex(g, ext):
+        if not _ext_has_apex(g, _two_neighbor_mask(g, t)):
             return HellyVerdict(False, t)
     return HellyVerdict(True, None)
 
@@ -171,11 +173,9 @@ def cotriangle_adjacent_vertices(g: Graph, t) -> int:
     Members of t are never included: t is independent, so each member
     has zero neighbors inside it.
     """
-    a, b, c = t
-    if not is_cotriangle(g, (a, b, c)):
+    if not is_cotriangle(g, t):
         raise ValueError(f"{tuple(t)} is not a cotriangle of the graph")
-    ra, rb, rc = g.rows[a], g.rows[b], g.rows[c]
-    return (ra & rb) | (ra & rc) | (rb & rc)
+    return _two_neighbor_mask(g, t)
 
 
 def check_cotriangle_cover(g: Graph, k: int) -> list[tuple[tuple[int, int, int], int]]:
@@ -188,7 +188,7 @@ def check_cotriangle_cover(g: Graph, k: int) -> list[tuple[tuple[int, int, int],
         raise ValueError(f"graph is not {k}-regular")
     violations = []
     for t in cotriangles(g):
-        count = cotriangle_adjacent_vertices(g, t).bit_count()
+        count = _two_neighbor_mask(g, t).bit_count()
         if count < k:
             violations.append((t, count))
     return violations

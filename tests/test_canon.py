@@ -6,6 +6,7 @@ from cliquedyn import (
     are_isomorphic,
     canonical_form,
     canonical_graph,
+    canonical_labeling,
     complement,
     complete_graph,
     cycle_graph,
@@ -73,6 +74,16 @@ def test_canonical_graph_is_isomorphic_to_input():
     cg = canonical_graph(g)
     assert isomorphic_brute(g, cg)
     assert canonical_form(cg) == canonical_form(g)
+
+
+@given(graphs(max_n=9))
+def test_canonical_graph_matches_relabel_by_canonical_labeling(g):
+    # oracle: relabel g by the inverse of its canonical labeling
+    label = canonical_labeling(g)
+    inv = [0] * g.n
+    for pos, v in enumerate(label):
+        inv[v] = pos
+    assert canonical_graph(g) == relabel(g, inv)
 
 
 def test_symmetric_graphs_canonize():

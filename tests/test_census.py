@@ -117,7 +117,7 @@ def test_helly_complement_never_classifies_divergent():
 
 
 def test_search_helly_complement_k3_n12():
-    hits = search_graphs(3, 12, "helly-complement")
+    hits = search_graphs(RegularGenSpec(k=3, n=12), "helly-complement")
     assert len(hits) == 1
     assert are_isomorphic(
         decode(hits[0]["graph6"]), disjoint_union([complete_bipartite(3, 3)] * 2)
@@ -127,23 +127,23 @@ def test_search_helly_complement_k3_n12():
 def test_search_zero_hits_k1_n8():
     # the only 1-regular graph on 8 vertices is 4K2, whose complement is
     # a divergent octahedron, hence not Helly
-    hits = search_graphs(1, 8, "helly-complement")
+    hits = search_graphs(RegularGenSpec(k=1, n=8), "helly-complement")
     assert hits == []
 
 
 def test_search_divergent_complement():
-    hits = search_graphs(2, 9, "divergent-complement", limits=TIGHT)
+    hits = search_graphs(RegularGenSpec(k=2, n=9), "divergent-complement", limits=TIGHT)
     assert len(hits) == 4
     assert all(h["evidence"]["behavior"]["status"] == "divergent" for h in hits)
 
 
 def test_search_rejects_unknown_target():
     with pytest.raises(ValueError):
-        search_graphs(2, 8, "no-such-target")
+        search_graphs(RegularGenSpec(k=2, n=8), "no-such-target")
 
 
 def test_search_budget_and_max_hits():
-    hits = search_graphs(2, 9, "divergent-complement", limits=TIGHT, max_hits=2)
+    hits = search_graphs(RegularGenSpec(k=2, n=9), "divergent-complement", limits=TIGHT, max_hits=2)
     assert len(hits) == 2
-    hits = search_graphs(2, 9, "divergent-complement", limits=TIGHT, budget=1)
+    hits = search_graphs(RegularGenSpec(k=2, n=9), "divergent-complement", limits=TIGHT, budget=1)
     assert len(hits) == 1

@@ -4,6 +4,8 @@ import pytest
 
 from cliquedyn import are_isomorphic, complete_graph, cycle_graph, octahedron
 from cliquedyn.cli import main, parse_graph_expression
+from cliquedyn.graph6 import encode
+from cliquedyn.regular import RegularGenSpec, enumerate_regular
 
 
 def test_expression_parser():
@@ -86,6 +88,7 @@ def test_census_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["total"] == 3
+    assert doc["spec"]["count"] == 100
     assert doc["totals"]["helly_complement"] == 1
     # exemplar sidecar files in plain graph6
     side = tmp_path / "census.json.helly-complement.g6"
@@ -135,3 +138,42 @@ def test_gen_cli(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert main(["gen", "-k", "4", "-n", "40"]) == 2  # ceiling exceeded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "-k", "3", "-n", "8", "--random", "--count", "0"],
+        ["gen", "-k", "-1", "-n", "5"],
+        ["analyze", "cycle 5", "--limit-iter", "0"],
+        ["search", "-k", "3", "-n", "8", "--target", "helly-complement", "--limit-vertices", "0"],
+    ],
+)
+def test_bad_flags_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]} error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _search_hits(argv, capsys):
+    code = main(["search", *argv, "--format", "json"])
+    return code, [h["graph6"] for h in json.loads(capsys.readouterr().out)["hits"]]
+
+
+def test_search_random_budget_is_the_sample_count(capsys):
+    # expected hits were recorded before search took a spec; they must not change
+    argv = ["-k", "2", "-n", "9", "--random", "--seed", "3", "--target", "divergent-complement"]
+    code, hits = _search_hits(argv + ["--budget", "5"], capsys)
+    assert code == 0
+    assert hits == ["HoCPACK", "H`?IS_c", "HCJ@a?H", "HGU?cGa", "HCW_Gf?"]
+    spec = RegularGenSpec(k=2, n=9, mode="random", count=5, seed=3)
+    assert hits == list(map(encode, enumerate_regular(spec)))
+    # with --connected the budget still counts samples drawn, not connected ones kept
+    argv = ["-k", "2", "-n", "9", "--random", "--connected", "--seed", "0",
+            "--target", "divergent-complement"]
+    assert _search_hits(argv + ["--budget", "5"], capsys) == (0, ["HbA@?SK", "H`?IS_c"])
+    # every sample of 1-regular graphs on 4 vertices has a Helly complement (C4)
+    argv = ["-k", "1", "-n", "4", "--random", "--target", "helly-complement"]
+    assert len(_search_hits(argv, capsys)[1]) == 1000
+    assert len(_search_hits(argv + ["--budget", "1200"], capsys)[1]) == 1200

@@ -24,6 +24,7 @@ from cliquedyn import (
     mask_of,
     maximal_cliques,
     octahedron,
+    random_regular,
     triangle_count,
     triangles,
 )
@@ -196,6 +197,28 @@ def test_cover_check_examples():
     assert check_cotriangle_cover(complete_bipartite(3, 3), 3) == []
     with pytest.raises(ValueError):
         check_cotriangle_cover(Graph.from_edges(3, [(0, 1)]), 1)
+
+
+def _cover_violations_oracle(g, k):
+    out = []
+    for t in cotriangles(g):
+        count = cotriangle_adjacent_vertices(g, t).bit_count()
+        if count < k:
+            out.append((t, count))
+    return out
+
+
+def test_cover_check_matches_oracle_with_violations():
+    c9 = cycle_graph(9)
+    assert len(check_cotriangle_cover(c9, 2)) == 21
+    assert check_cotriangle_cover(c9, 2) == _cover_violations_oracle(c9, 2)
+    seen = 0
+    for seed in range(6):
+        g = random_regular(3, 14, seed=seed)
+        found = check_cotriangle_cover(g, 3)
+        assert found == _cover_violations_oracle(g, 3)
+        seen += len(found)
+    assert seen > 0
 
 
 def test_extended_triangle_size_bound_for_helly_complements():
