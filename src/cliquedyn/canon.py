@@ -8,6 +8,12 @@ used, which keeps the pruning sound). The canonical form of a graph is
 the graph6 string of the best relabeling found; two graphs are
 isomorphic iff their canonical forms are equal.
 
+`automorphism_generators` exposes the automorphisms that one search
+records. They generate a subgroup of Aut(g), possibly a proper one when
+`_MAX_GENERATORS` or the leaf-label cap cuts the recording short. That
+suffices for orbit pruning by callers: merging choices along any
+subgroup of Aut(g) keeps at least one choice from every Aut(g)-orbit.
+
 A brute-force permutation oracle (`isomorphic_brute`) is provided for
 cross-checking the canonizer on small graphs.
 """
@@ -175,6 +181,18 @@ def canonical_graph(g: Graph) -> Graph:
     search = _CanonSearch(g)
     search.run()
     return Graph(g.n, search.best or ())
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms recorded by one canonical search (vertex -> image).
+
+    Each comes from two leaves with equal relabeled rows, so each is a
+    true automorphism. Together they generate a subgroup of Aut(g), not
+    necessarily all of it.
+    """
+    search = _CanonSearch(g)
+    search.run()
+    return search.generators
 
 
 def canonical_form(g: Graph) -> str:

@@ -11,8 +11,10 @@ Exhaustive enumeration dispatches by degree:
     edges and joining the new vertices, or belongs to an explicitly
     constructible irreducible family (diamond necklaces and diamond/
     connector assemblies) or is a disjoint union of smaller components.
-    The closure is cross-checked against the independent brute-force
-    enumerator in the test suite,
+    Only one edge pair per orbit of the parent's automorphisms is
+    inserted, since automorphic pairs give isomorphic children. The
+    closure is cross-checked against the independent brute-force
+    enumerator and the all-pairs expansion in the test suite,
   * other degrees fall back to a pruned row-by-row backtracking.
 
 All paths deduplicate through canonical forms and emit canonically
@@ -30,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from . import graph6
-from .canon import canonical_graph, isomorphic_brute
+from .canon import automorphism_generators, canonical_graph, isomorphic_brute
 from .graphs import (
     Graph,
     bits,
@@ -310,6 +312,37 @@ def _edge_insert(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
     return Graph(n + 2, rows)
 
 
+def _edge_pair_orbit_representatives(
+    g: Graph,
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """One unordered pair of distinct edges per orbit of the recorded automorphisms.
+
+    Pairs are merged by union-find, one pass per generator from
+    `automorphism_generators`. Each root is the first pair of its orbit
+    in `combinations` order. Automorphic pairs give isomorphic edge
+    insertions, and the generators span a subgroup of Aut(g), so every
+    insertion class keeps a representative.
+    """
+    edges = list(g.edges())
+    index = {e: i for i, e in enumerate(edges)}
+    parent = {p: p for p in combinations(range(len(edges)), 2)}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for sigma in automorphism_generators(g):
+        image = [index[tuple(sorted((sigma[u], sigma[v])))] for u, v in edges]
+        for i, j in parent:
+            a, b = sorted((image[i], image[j]))
+            r, s = find((i, j)), find((a, b))
+            if r != s:
+                parent[max(r, s)] = min(r, s)
+    return [(edges[i], edges[j]) for (i, j) in parent if find((i, j)) == (i, j)]
+
+
 def _diamond_block(i: int) -> list[tuple[int, int]]:
     # diamond on 4i..4i+3: chord (4i, 4i+1), tips 4i+2 and 4i+3
     b = 4 * i
@@ -383,14 +416,20 @@ def _connected_cubic_classes(n: int) -> tuple[Graph, ...]:
 
 @lru_cache(maxsize=None)
 def _cubic_classes(n: int) -> tuple[Graph, ...]:
+    """Cubic classes on n vertices, canonical and sorted by graph6.
+
+    Candidates are one edge insertion per orbit of edge pairs of each
+    class on n - 2 vertices, the disjoint unions of smaller connected
+    classes, and the irreducible family; `_sorted_canonical` then keeps
+    one graph per class.
+    """
     if n < 4 or n % 2:
         return ()
     if n == 4:
         return (canonical_graph(complete_graph(4)),)
     candidates: list[Graph] = []
     for g in _cubic_classes(n - 2):
-        edge_list = list(g.edges())
-        for e1, e2 in combinations(edge_list, 2):
+        for e1, e2 in _edge_pair_orbit_representatives(g):
             candidates.append(_edge_insert(g, e1, e2))
     for part in _partitions_min_part(n, 4):
         if len(part) < 2 or any(p % 2 for p in part):

@@ -1,5 +1,9 @@
+import hashlib
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cliquedyn import (
@@ -13,12 +17,22 @@ from cliquedyn import (
     random_regular,
     two_switch,
 )
+from cliquedyn import canon, encode, regular
+from cliquedyn.canon import automorphism_generators, automorphisms_brute, canonical_graph
 from cliquedyn.regular import (
     RegularGenSpec,
+    _cubic_classes,
+    _edge_insert,
+    _edge_pair_orbit_representatives,
+    _irreducible_cubic_connected,
+    _partitions_min_part,
     _pruned_labeled_regular,
+    _sorted_canonical,
     enumerate_regular,
     enumerate_regular_brute,
 )
+
+from strategies import graphs
 
 
 def classes(k, n, **kw):
@@ -253,3 +267,128 @@ def test_random_mode_stream():
     got = list(enumerate_regular(spec))
     assert len(got) == 5
     assert all(set(g.degrees()) == {3} for g in got)
+
+
+# -- orbit-pruned cubic expansion --------------------------------------------
+
+def _clear_regular_caches():
+    for cached in (
+        regular._cubic_classes,
+        regular._connected_cubic_classes,
+        regular._regular_classes,
+    ):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_regular_caches():
+    _clear_regular_caches()
+    yield
+    _clear_regular_caches()
+
+
+@lru_cache(maxsize=None)
+def _cubic_classes_all_pairs(n):
+    """The expansion closure inserting every unordered edge pair (oracle)."""
+    if n < 4 or n % 2:
+        return ()
+    if n == 4:
+        return (canonical_graph(complete_graph(4)),)
+    candidates = []
+    for g in _cubic_classes_all_pairs(n - 2):
+        for e1, e2 in combinations(list(g.edges()), 2):
+            candidates.append(_edge_insert(g, e1, e2))
+    for part in _partitions_min_part(n, 4):
+        if len(part) < 2 or any(p % 2 for p in part):
+            continue
+        sizes = {}
+        for p in part:
+            sizes[p] = sizes.get(p, 0) + 1
+        pools = [
+            list(
+                combinations_with_replacement(
+                    [g for g in _cubic_classes_all_pairs(s) if is_connected(g)], mult
+                )
+            )
+            for s, mult in sorted(sizes.items())
+        ]
+        for choice in product(*pools):
+            candidates.append(disjoint_union([g for group in choice for g in group]))
+    candidates.extend(_irreducible_cubic_connected(n))
+    return _sorted_canonical(candidates)
+
+
+@pytest.mark.parametrize(
+    "n", [6, 8, 10, pytest.param(12, marks=pytest.mark.slow)]
+)
+def test_orbit_pruned_cubic_classes_match_all_pairs_oracle(n, cold_regular_caches):
+    assert _cubic_classes(n) == _cubic_classes_all_pairs(n)
+
+
+def _edge_pair_orbits(g):
+    """Orbits of unordered edge pairs under the full brute-force group."""
+    edges = [frozenset(e) for e in g.edges()]
+    group = automorphisms_brute(g)
+    orbit_of = {}
+    for e1, e2 in combinations(edges, 2):
+        pair = frozenset((e1, e2))
+        if pair in orbit_of:
+            continue
+        orbit = frozenset(
+            frozenset(frozenset(sigma[v] for v in e) for e in pair) for sigma in group
+        )
+        for member in orbit:
+            orbit_of[member] = orbit
+    return orbit_of
+
+
+def _check_orbit_representatives(g):
+    gens = automorphism_generators(g)
+    brute = set(automorphisms_brute(g))
+    assert all(sigma in brute for sigma in gens)
+    orbit_of = _edge_pair_orbits(g)
+    kept = [
+        orbit_of[frozenset((frozenset(e1), frozenset(e2)))]
+        for e1, e2 in _edge_pair_orbit_representatives(g)
+    ]
+    assert set(kept) == set(orbit_of.values())
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+def test_orbit_representatives_meet_every_edge_pair_orbit(g):
+    assume(g.edge_count() >= 2)
+    _check_orbit_representatives(g)
+
+
+def test_orbit_representatives_of_small_cubic_classes_are_one_per_orbit():
+    checked = 0
+    for n in (4, 6, 8):
+        for g in _cubic_classes(n):
+            kept = _check_orbit_representatives(g)
+            assert len(kept) == len(set(kept))
+            checked += 1
+    assert checked == 9
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_truncated_automorphism_group_keeps_every_cubic_class(
+    cap, cold_regular_caches, monkeypatch
+):
+    full = _cubic_classes(10)
+    _clear_regular_caches()
+    monkeypatch.setattr(canon, "_MAX_GENERATORS", cap)
+    assert _cubic_classes(10) == full
+
+
+@pytest.mark.parametrize(
+    "n,digest",
+    [
+        (10, "a947ceb3adb7199fbff75de6ee3696cca307222cbb106bf1bf341817c7b4aa75"),
+        (12, "52768e92a390cc0d6b20d2f2740ad6477756cb880498ce600bab1069f6ba281a"),
+    ],
+)
+def test_cubic_class_list_digest_is_pinned(n, digest):
+    listing = "\n".join(sorted(encode(g) for g in _cubic_classes(n)))
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
