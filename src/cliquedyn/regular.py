@@ -15,7 +15,9 @@ Exhaustive enumeration dispatches by degree:
     inserted, since automorphic pairs give isomorphic children. The
     closure is cross-checked against the independent brute-force
     enumerator and the all-pairs expansion in the test suite,
-  * other degrees fall back to a pruned row-by-row backtracking.
+  * other degrees use row-by-row backtracking that drops a partial
+    graph once swapping two of its placed vertices would give a larger
+    upper-triangle string, so few labeled leaves reach canonization.
 
 All paths deduplicate through canonical forms and emit canonically
 labeled graphs sorted by their graph6 string, so output order is
@@ -450,22 +452,30 @@ def _cubic_classes(n: int) -> tuple[Graph, ...]:
 
 # -- generic degrees: pruned row-by-row backtracking -------------------------
 
-def _tail_ge(a: int, b: int) -> bool:
-    # lexicographic from the low bit: first differing position must be in a
-    diff = a ^ b
-    if not diff:
-        return True
-    return bool(a & (diff & -diff))
+def _transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
+    """Whether swapping labels a < v gives a larger upper-triangle string.
+
+    The string lists rows 0, 1, ... with columns ascending, 1 > 0; ra
+    and rv are the full rows of a and v. The swap changes the string
+    only where rows a and v differ outside columns a and v, so the first
+    change is at the lowest such column c: in row c at column a when
+    c < a, in row a at column c when c > a. Either way the swapped
+    string holds rv's bit c there.
+    """
+    diff = (ra ^ rv) & ~((1 << a) | (1 << v))
+    return bool(rv & diff & -diff)
 
 
 def _pruned_labeled_regular(n: int, k: int):
-    """Labeled k-regular graphs surviving two sound symmetry prunings.
+    """Labeled k-regular graphs whose labeling no transposition improves.
 
-    Vertex 0's neighborhood is fixed to {1..k}, and consecutive vertices
-    with identical earlier columns must have non-increasing forward
-    rows. Every isomorphism class keeps at least one representative
-    (its maximal-string labeling satisfies both rules), so canonical
-    deduplication downstream yields the full census.
+    Once row v is placed, the partial graph is dropped if swapping some
+    a < v with v gives a larger upper-triangle string (rows 0..v never
+    change afterwards, so the test is final), or if `feasible` finds the
+    remaining degrees unfillable. The lexicographically maximal labeling
+    of every class passes every transposition, and has N(0) = {1..k},
+    which is fixed up front; so every class keeps a representative, and
+    canonical deduplication downstream yields the full census.
     """
     rows = [0] * n
     deg = [0] * n
@@ -502,12 +512,10 @@ def _pruned_labeled_regular(n: int, k: int):
                 rows[w] |= 1 << v
                 deg[v] += 1
                 deg[w] += 1
-            ok = True
-            if v >= 1:
-                low = (1 << (v - 1)) - 1
-                if (rows[v - 1] & low) == (rows[v] & low):
-                    ok = _tail_ge(rows[v - 1] >> (v + 1), rows[v] >> (v + 1))
-            if ok and feasible(v):
+            rv = rows[v]
+            if not any(
+                _transposition_raises(rows[a], rv, a, v) for a in range(v)
+            ) and feasible(v):
                 place(v + 1)
             for w in combo:
                 rows[v] &= ~(1 << w)

@@ -176,7 +176,6 @@ def test_triangle_sum_exhaustive_small_orders():
                 assert verify_triangle_sum(g)
 
 
-@pytest.mark.slow
 def test_triangle_sum_exhaustive_n10_all_degrees():
     from cliquedyn.regular import RegularGenSpec, enumerate_regular
 
