@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .graphs import Graph, bits, complement
-from .helly import _two_neighbor_mask, cotriangles, triangle_count
+from .graphs import Graph, complement
+from .helly import triangle_count
 
 
 def triangle_sum_rhs(n: int, k: int) -> int:
@@ -99,26 +99,53 @@ def helly_threshold(k: int) -> int:
     return 3 * k + isqrt(disc) + 1
 
 
+def _cotriangles_at(nx: int, co: tuple[int, ...]) -> int:
+    """Cotriangles with at least two members in the neighbourhood mask nx.
+
+    `co` holds the complement rows. Two inline low-bit loops walk the
+    non-adjacent pairs a < b of nx; `pairs` then holds the members of nx
+    above b that are non-adjacent to a, so `common & pairs` is the set of
+    third members c > b inside nx.
+    """
+    total = 0
+    rest = nx
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ca = co[low.bit_length() - 1]
+        pairs = ca & rest
+        while pairs:
+            lb = pairs & -pairs
+            pairs ^= lb
+            common = ca & co[lb.bit_length() - 1]
+            total += common.bit_count() - 2 * (common & pairs).bit_count()
+    return total
+
+
 def count_cotriangles_at_vertex(g: Graph, x: int) -> int:
     """Number of cotriangles with at least two members adjacent to x."""
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range for n={g.n}")
-    row = g.rows[x]
-    total = 0
-    for a, b, c in cotriangles(g):
-        inside = ((row >> a) & 1) + ((row >> b) & 1) + ((row >> c) & 1)
-        if inside >= 2:
-            total += 1
-    return total
+    return _cotriangles_at(g.rows[x], complement(g).rows)
 
 
 def cotriangle_adjacency_profile(g: Graph) -> list[int]:
-    """Per-vertex cotriangle adjacency counts, from one pass over cotriangles."""
-    counts = [0] * g.n
-    for t in cotriangles(g):
-        for v in bits(_two_neighbor_mask(g, t)):
-            counts[v] += 1
-    return counts
+    """Per-vertex cotriangle adjacency counts, in O(n * k^2) popcounts.
+
+    Entry x counts the cotriangles {a, b, c} of g with at least two
+    members in N = N(x). x is never a member: it is adjacent to the
+    members in N, and a cotriangle is independent. Let co[v] be the
+    complement row of v, and S(x) the sum of |co[a] & co[b]| over the
+    non-adjacent pairs a < b in N; |co[a] & co[b]| is the number of c
+    that complete {a, b} to a cotriangle. A cotriangle with exactly two
+    members in N is counted once in S(x), by its one pair inside N; one
+    with all three members in N is counted three times, once per pair.
+    With T3(x) the number of cotriangles inside N, the entry is
+    therefore S(x) - 2 * T3(x). Both terms come from one double loop
+    over N: T3(x) is the sum of |co[a] & co[b] & N| restricted to c > b.
+    """
+    co = complement(g).rows
+    return [_cotriangles_at(nx, co) for nx in g.rows]
 
 
 def count_cotriangle_incidences(g: Graph) -> int:

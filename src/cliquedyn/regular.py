@@ -129,6 +129,14 @@ def random_regular(k: int, n: int, seed: int = 0) -> Graph:
     Stubs are paired repeatedly, re-shuffling only the conflicted stubs,
     then the result is mixed with 200*n random 2-switch attempts.
     Identical (k, n, seed) always produce the identical edge set.
+
+    The burn-in draws each edge index with the `getrandbits` rejection
+    loop that `Random.randrange(m)` runs in CPython, inlined, so the
+    seeded outputs equal those of a plain `randrange` loop. The test
+    `test_random_regular_seeded_outputs_are_pinned` pins their sha256,
+    and `test_inline_index_draw_matches_randrange` compares the draw
+    with `randrange`, so an interpreter whose `randrange` differs fails
+    loudly.
     """
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
@@ -178,33 +186,39 @@ def _pairing_can_continue(edges, conflicted) -> bool:
 
 
 def _burn_in(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph:
+    bit = [1 << v for v in range(n)]
     rows = [0] * n
     for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+        rows[u] |= bit[v]
+        rows[v] |= bit[u]
     m = len(edges)
     if m >= 2:
+        # each index draw is the rejection loop randrange(m) runs
+        getrandbits = rng.getrandbits
+        width = m.bit_length()
         for _ in range(BURN_IN_FACTOR * n):
-            i = rng.randrange(m)
-            j = rng.randrange(m)
+            i = getrandbits(width)
+            while i >= m:
+                i = getrandbits(width)
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
             if i == j:
                 continue
             a, b = edges[i]
             u, v = edges[j]
-            if rng.getrandbits(1):
+            if getrandbits(1):
                 u, v = v, u
-            if len({a, b, u, v}) != 4:
+            if a == u or a == v or b == u or b == v:
                 continue
-            if (rows[a] >> u) & 1 or (rows[b] >> v) & 1:
+            ra, rb = rows[a], rows[b]
+            if ra & bit[u] or rb & bit[v]:
                 continue
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            rows[a] |= 1 << u
-            rows[u] |= 1 << a
-            rows[b] |= 1 << v
-            rows[v] |= 1 << b
+            # edges ab, uv present and au, bv absent: each row flips two bits
+            rows[a] = ra ^ bit[b] ^ bit[u]
+            rows[b] = rb ^ bit[a] ^ bit[v]
+            rows[u] ^= bit[v] ^ bit[a]
+            rows[v] ^= bit[u] ^ bit[b]
             edges[i] = (a, u)
             edges[j] = (b, v)
     return Graph(n, rows)

@@ -1,9 +1,28 @@
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+from cliquedyn import canonical_form
+from cliquedyn.regular import enumerate_regular_brute
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(scope="session")
+def brute_regular_forms():
+    """Canonical forms of enumerate_regular_brute(k, n), built once per (k, n) per session.
+
+    The brute-force census at (3, 8) takes several seconds, and both the
+    acceptance suite and the enumeration tests compare against it.
+    """
+
+    @lru_cache(maxsize=None)
+    def forms(k: int, n: int) -> frozenset:
+        return frozenset(canonical_form(g) for g in enumerate_regular_brute(k, n))
+
+    return forms
 
 
 def pytest_configure(config):

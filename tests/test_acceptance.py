@@ -42,7 +42,7 @@ from cliquedyn.behavior import OctahedronCertificate
 from cliquedyn.bounds import cotriangle_adjacency_profile
 from cliquedyn.canon import canonical_graph
 from cliquedyn.graphs import Graph, bits
-from cliquedyn.regular import RegularGenSpec, enumerate_regular, enumerate_regular_brute
+from cliquedyn.regular import RegularGenSpec, enumerate_regular
 
 # tight enough to dispose of divergent iterates quickly, generous enough
 # that every convergent complement in these censuses closes its loop
@@ -112,11 +112,11 @@ def test_criterion_3_two_regular_equivalence(two_regular_upto_9):
     report(3, "2-regular n<=9: complement Helly iff convergent, zero Unknowns")
 
 
-def test_criterion_4_cubic_bound_tightness(cubic_12, cubic_14):
+def test_criterion_4_cubic_bound_tightness(cubic_12, cubic_14, brute_regular_forms):
     # brute-force cross-check of the enumeration route at small orders first
     for n in (4, 6, 8):
         fast = {canonical_form(g) for g in enumerate_regular(RegularGenSpec(k=3, n=n))}
-        brute = {canonical_form(g) for g in enumerate_regular_brute(3, n)}
+        brute = brute_regular_forms(3, n)
         assert fast == brute, f"enumeration disagrees with brute force at n={n}"
 
     connected_14 = sum(1 for g in cubic_14 if is_connected(g))

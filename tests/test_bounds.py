@@ -7,18 +7,22 @@ from hypothesis import strategies as st
 
 from cliquedyn import (
     Graph,
+    bits,
     bound_report,
     bound_table,
     complement,
     complete_bipartite,
     complete_graph,
+    cotriangle_adjacent_vertices,
     cotriangle_lower_bound,
     cotriangle_lower_bound_exact,
+    cotriangles,
     count_cotriangle_incidences,
     count_cotriangles_at_vertex,
     cycle_graph,
     disjoint_union,
     helly_threshold,
+    random_regular,
     threshold_poly,
     triangle_sum_rhs,
     verify_triangle_sum,
@@ -123,12 +127,34 @@ def test_incidence_count_examples():
     assert count_cotriangle_incidences(cycle_graph(6)) == 6
 
 
+def _profile_oracle(g):
+    """Per-vertex cotriangle adjacency counts from one pass over every cotriangle."""
+    counts = [0] * g.n
+    for t in cotriangles(g):
+        for v in bits(cotriangle_adjacent_vertices(g, t)):
+            counts[v] += 1
+    return counts
+
+
+def _at_vertex_oracle(g, x):
+    """Cotriangles with at least two members adjacent to x, by testing each one."""
+    row = g.rows[x]
+    total = 0
+    for a, b, c in cotriangles(g):
+        if ((row >> a) & 1) + ((row >> b) & 1) + ((row >> c) & 1) >= 2:
+            total += 1
+    return total
+
+
 @given(graphs())
 def test_incidence_double_counting(g):
-    total = count_cotriangle_incidences(g)
-    assert total == sum(count_cotriangles_at_vertex(g, x) for x in range(g.n))
-    assert cotriangle_adjacency_profile(g) == [
-        count_cotriangles_at_vertex(g, x) for x in range(g.n)
+    # vertex side (the library) against the cotriangle side (the definition)
+    by_cotriangle = sum(
+        cotriangle_adjacent_vertices(g, t).bit_count() for t in cotriangles(g)
+    )
+    assert count_cotriangle_incidences(g) == by_cotriangle
+    assert [count_cotriangles_at_vertex(g, x) for x in range(g.n)] == [
+        _at_vertex_oracle(g, x) for x in range(g.n)
     ]
 
 
@@ -140,9 +166,25 @@ def test_incidence_double_counting_many_random():
         n = rng.randrange(0, 9)
         pairs = n * (n - 1) // 2
         g = Graph.from_upper_bits(n, rng.getrandbits(pairs) if pairs else 0)
-        assert count_cotriangle_incidences(g) == sum(
-            count_cotriangles_at_vertex(g, x) for x in range(n)
-        )
+        assert count_cotriangle_incidences(g) == sum(_profile_oracle(g))
+        for x in range(n):
+            assert count_cotriangles_at_vertex(g, x) == _at_vertex_oracle(g, x)
+
+
+@given(graphs(max_n=10))
+def test_profile_matches_cotriangle_oracle(g):
+    assert cotriangle_adjacency_profile(g) == _profile_oracle(g)
+
+
+@pytest.mark.parametrize("k,n", [(3, 30), (4, 40), (6, 60)])
+def test_profile_matches_cotriangle_oracle_on_random_regular(k, n):
+    for seed in range(4):
+        g = random_regular(k, n, seed=seed)
+        profile = cotriangle_adjacency_profile(g)
+        assert profile == _profile_oracle(g)
+        for x in (0, n // 2, n - 1):
+            assert count_cotriangles_at_vertex(g, x) == _at_vertex_oracle(g, x)
+        assert max(profile) <= vertex_cotriangle_cap(n, k)
 
 
 def test_bound_report_contradiction_is_exact():

@@ -96,14 +96,14 @@ def test_ceiling_is_enforced():
 
 
 @pytest.mark.parametrize("k,n", [(3, 4), (3, 6), (1, 6), (2, 7), (2, 8), (4, 7)])
-def test_matches_brute_force_fast_cases(k, n):
-    assert canon_set(classes(k, n)) == canon_set(enumerate_regular_brute(k, n))
+def test_matches_brute_force_fast_cases(k, n, brute_regular_forms):
+    assert canon_set(classes(k, n)) == brute_regular_forms(k, n)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("k,n", [(3, 8), (4, 8), (5, 8), (2, 6)])
-def test_matches_brute_force_slow_cases(k, n):
-    assert canon_set(classes(k, n)) == canon_set(enumerate_regular_brute(k, n))
+def test_matches_brute_force_slow_cases(k, n, brute_regular_forms):
+    assert canon_set(classes(k, n)) == brute_regular_forms(k, n)
 
 
 def test_cubic_expansion_matches_generic_dfs_at_n10():
@@ -274,12 +274,40 @@ def test_random_mode_stream():
         (3, 30, "a8ce65a79f08c95059e6f4906f1c17405c2a32b52dfe9d8ad4ac31b2a6f3cd6f"),
         (4, 40, "2b1894221ba60e588d4c7c41b4d529851041b447e9aa1d22603afafb60f11052"),
         (6, 60, "663238f96a1dabfe8b445c3fdcd9ed9ad3ddaaa7bd387777c86297f6366d8758"),
+        # edge counts m = 3, 5, 12, 8, 30, 9, 17: tiny, or at or just past
+        # a power of two, where the width of the index draw changes
+        (1, 6, "dc226a7d9b3628a4cbbbad30023bc5198291827208e99bcb315a63cc56cf81b0"),
+        (2, 5, "31634cd811186e9d3fc90f345fbf3417d0e9d63debfc02722d6f0f4a95086f9b"),
+        (3, 8, "24060c122391b2d8ef01b34e4107547f7add69270f2eacc1149fa4538b15ca99"),
+        (2, 8, "8f3ec8a3fef47bbc35e3bc6d7e600d0172b0201ee11b01e307a66ed85090f85d"),
+        (5, 12, "0e9b17b9182cb8645b813ea51194ae8d7bc2ca952cfe5338ec94785e25733314"),
+        (3, 6, "0d3b7c5874c2be84e446cbecd453e20c0e7144ba3c8b45912744776a865c8b17"),
+        (1, 34, "74b5d8dd621e1b2856462f45e540954716bc69708dde49d33dffb3949091e98d"),
     ],
 )
 def test_random_regular_seeded_outputs_are_pinned(k, n, digest):
-    # seeds 0..9; guards a byte-identical rewrite of the pairing and burn-in
+    # seeds 0..9; computed with the burn-in drawing through randrange, so
+    # they guard the inlined draw and any later rewrite of the pairing
     listing = "\n".join(encode(random_regular(k, n, seed=s)) for s in range(10))
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
+def test_inline_index_draw_matches_randrange():
+    # _burn_in inlines this loop in place of rng.randrange(m); an interpreter
+    # whose randrange draws differently must fail here, not change outputs
+    import random
+
+    for m in range(2, 301):
+        ref = random.Random(m)
+        rng = random.Random(m)
+        width = m.bit_length()
+        for _ in range(50):
+            i = rng.getrandbits(width)
+            while i >= m:
+                i = rng.getrandbits(width)
+            assert i == ref.randrange(m)
+            # the burn-in interleaves one-bit draws for the edge orientation
+            assert rng.getrandbits(1) == ref.getrandbits(1)
 
 
 # -- orbit-pruned cubic expansion --------------------------------------------
