@@ -10,13 +10,16 @@ certified divergent shapes:
   * a join of two summands, both with coaffinations, one connected.
 
 Certificates carry explicit witnesses (isomorphism maps, summand blocks,
-coaffination permutations) and re-validate independently. The classifier
-reports Unknown when a resource limit trips; it never guesses.
+coaffination permutations), and each certificate validates itself:
+`validate(g)` re-checks its witness against g alone, sharing no code with
+the search that issued it. The classifier reports Unknown when a
+resource limit trips; it never guesses.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from .canon import canonical_form, find_coaffination, is_coaffination
 from .cliques import CliqueLimitError, clique_graph, maximal_cliques
@@ -59,73 +62,89 @@ COAFF_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)
-class OctahedronCertificate:
+class Certificate:
+    """A divergence witness for one graph.
+
+    Its report form is `kind` followed by the dataclass fields, tuples
+    as lists; `validate(g)` re-checks the witness against g alone.
+    """
+
+    kind: ClassVar[str]
+
+    def to_json(self) -> dict:
+        out: dict = {"kind": self.kind}
+        for f in fields(self):
+            out[f.name] = _as_lists(getattr(self, f.name))
+        return out
+
+    def validate(self, g: Graph) -> bool:
+        raise NotImplementedError
+
+
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+@dataclass(frozen=True)
+class OctahedronCertificate(Certificate):
     """g is isomorphic to O_m; mapping[v] is the O_m vertex for g-vertex v."""
 
+    kind: ClassVar[str] = "octahedron"
     m: int
     mapping: tuple[int, ...]
-    kind: str = field(default="octahedron", init=False)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "mapping": list(self.mapping)}
+    def validate(self, g: Graph) -> bool:
+        return self.m >= 3 and g.n == 2 * self.m and _maps_onto(g, octahedron(self.m), self.mapping)
 
 
 @dataclass(frozen=True)
-class CycleComplementCertificate:
+class CycleComplementCertificate(Certificate):
     """g is isomorphic to the complement of C_n."""
 
+    kind: ClassVar[str] = "cycle-complement"
     n: int
     mapping: tuple[int, ...]
-    kind: str = field(default="cycle-complement", init=False)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "mapping": list(self.mapping)}
+    def validate(self, g: Graph) -> bool:
+        return (
+            self.n >= 8
+            and g.n == self.n
+            and _maps_onto(g, complement(cycle_graph(self.n)), self.mapping)
+        )
 
 
 @dataclass(frozen=True)
-class ThreeSummandsCertificate:
+class ThreeSummandsCertificate(Certificate):
     """g is a join of >= 3 summands, each with a coaffination.
 
     blocks are the summand vertex sets in g; coaffinations[i] permutes
     block i positionally (local indices into blocks[i]).
     """
 
+    kind: ClassVar[str] = "three-summands"
     blocks: tuple[tuple[int, ...], ...]
     coaffinations: tuple[tuple[int, ...], ...]
-    kind: str = field(default="three-summands", init=False)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "blocks": [list(b) for b in self.blocks],
-            "coaffinations": [list(c) for c in self.coaffinations],
-        }
+    def validate(self, g: Graph) -> bool:
+        return len(self.blocks) >= 3 and _is_coaffinable_join(g, self.blocks, self.coaffinations)
 
 
 @dataclass(frozen=True)
-class ConnectedSumCertificate:
+class ConnectedSumCertificate(Certificate):
     """g is a join of two coaffinable summands, at least one connected."""
 
+    kind: ClassVar[str] = "connected-sum"
     blocks: tuple[tuple[int, ...], ...]
     coaffinations: tuple[tuple[int, ...], ...]
     connected_index: int
-    kind: str = field(default="connected-sum", init=False)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "blocks": [list(b) for b in self.blocks],
-            "coaffinations": [list(c) for c in self.coaffinations],
-            "connected_index": self.connected_index,
-        }
-
-
-Certificate = (
-    OctahedronCertificate
-    | CycleComplementCertificate
-    | ThreeSummandsCertificate
-    | ConnectedSumCertificate
-)
+    def validate(self, g: Graph) -> bool:
+        return (
+            len(self.blocks) == 2
+            and 0 <= self.connected_index < 2
+            and _is_coaffinable_join(g, self.blocks, self.coaffinations)
+            and is_connected(induced(g, self.blocks[self.connected_index]))
+        )
 
 
 def join_summands(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
@@ -221,42 +240,22 @@ def _maps_onto(g: Graph, target: Graph, mapping: tuple[int, ...]) -> bool:
     return True
 
 
+def _is_coaffinable_join(g: Graph, blocks, coaffinations) -> bool:
+    """The non-empty blocks partition V(g), every cross edge is present, and
+    coaffinations[i] is a coaffination of the summand on blocks[i]."""
+    if len(coaffinations) != len(blocks) or not all(blocks):
+        return False
+    if sorted(v for b in blocks for v in b) != list(range(g.n)):
+        return False
+    cross = ((u, v) for i, bi in enumerate(blocks) for bj in blocks[i + 1:] for u in bi for v in bj)
+    return all(g.has_edge(u, v) for u, v in cross) and all(
+        is_coaffination(induced(g, b), sigma) for b, sigma in zip(blocks, coaffinations)
+    )
+
+
 def certificate_is_valid(g: Graph, cert: Certificate) -> bool:
     """Re-check a certificate against the graph it was issued for."""
-    if isinstance(cert, OctahedronCertificate):
-        if cert.m < 3 or g.n != 2 * cert.m:
-            return False
-        return _maps_onto(g, octahedron(cert.m), cert.mapping)
-    if isinstance(cert, CycleComplementCertificate):
-        if cert.n < 8 or g.n != cert.n:
-            return False
-        return _maps_onto(g, complement(cycle_graph(cert.n)), cert.mapping)
-    if isinstance(cert, (ThreeSummandsCertificate, ConnectedSumCertificate)):
-        blocks = cert.blocks
-        if isinstance(cert, ThreeSummandsCertificate) and len(blocks) < 3:
-            return False
-        if isinstance(cert, ConnectedSumCertificate) and len(blocks) != 2:
-            return False
-        flat = sorted(v for b in blocks for v in b)
-        if flat != list(range(g.n)):
-            return False
-        # blocks partition g into a join: all cross edges present
-        for i, bi in enumerate(blocks):
-            for j in range(i + 1, len(blocks)):
-                for u in bi:
-                    for v in blocks[j]:
-                        if not g.has_edge(u, v):
-                            return False
-        for block, sigma in zip(blocks, cert.coaffinations):
-            part = induced(g, block)
-            if not is_coaffination(part, sigma):
-                return False
-        if isinstance(cert, ConnectedSumCertificate):
-            part = induced(g, blocks[cert.connected_index])
-            if part.n == 0 or not is_connected(part):
-                return False
-        return True
-    return False
+    return isinstance(cert, Certificate) and cert.validate(g)
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,6 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
     """
     iterates: list[Graph] = []
     invariants: list[tuple] = []
-    buckets: dict[tuple, list[int]] = {}
     canon_cache: dict[int, str] = {}
 
     def canon_of(idx: int) -> str:
@@ -349,72 +347,42 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
             canon_cache[idx] = canonical_form(iterates[idx])
         return canon_cache[idx]
 
-    def build_trace() -> tuple[IterateStat, ...]:
-        out = []
+    def result(status: str, done: int, **found) -> BehaviorResult:
+        trace = []
         for idx, cur in enumerate(iterates):
             if idx in canon_cache:
                 fp = _fingerprint(canon_cache[idx])
             else:
                 fp = "~" + _fingerprint(repr(invariants[idx]))[:11]
-            out.append(IterateStat(cur.n, cur.edge_count(), fp))
-        return tuple(out)
+            trace.append(IterateStat(cur.n, cur.edge_count(), fp))
+        return BehaviorResult(
+            status,
+            iterations_done=done,
+            max_order_seen=max(t.order for t in trace),
+            trace=tuple(trace),
+            **found,
+        )
 
     cur = g
-    max_order = g.n
     for i in range(limits.max_iterations + 1):
-        max_order = max(max_order, cur.n)
+        iterates.append(cur)
         cert = divergence_certificate(cur)
         if cert is not None:
-            iterates.append(cur)
             invariants.append((cur.n, cur.edge_count(), ()))
-            return BehaviorResult(
-                "divergent",
-                certificate=cert,
-                detected_at=i,
-                iterations_done=i,
-                max_order_seen=max_order,
-                trace=build_trace(),
-            )
+            return result("divergent", i, certificate=cert, detected_at=i)
         inv = _iterate_invariant(cur)
-        iterates.append(cur)
         invariants.append(inv)
-        tail = None
-        bucket = buckets.get(inv, [])
-        if bucket:
-            my_form = canon_of(i)
-            for j in bucket:
-                if canon_of(j) == my_form:
-                    tail = j
-                    break
-        if tail is not None:
-            return BehaviorResult(
-                "convergent",
-                tail=tail,
-                period=i - tail,
-                iterations_done=i,
-                max_order_seen=max_order,
-                trace=build_trace(),
-            )
-        buckets.setdefault(inv, []).append(i)
+        for j in range(i):
+            if invariants[j] == inv and canon_of(i) == canon_of(j):
+                return result("convergent", i, tail=j, period=i - j)
         if i == limits.max_iterations:
             break
         try:
             cur, _ = clique_graph(cur, cap=min(limits.max_cliques, limits.max_vertices))
         except CliqueLimitError:
-            return BehaviorResult(
-                "unknown",
-                limit="clique-cap" if limits.max_cliques <= limits.max_vertices else "vertex-cap",
-                iterations_done=i,
-                max_order_seen=max_order,
-                trace=build_trace(),
-            )
-    return BehaviorResult(
-        "unknown",
-        limit="iteration-cap",
-        iterations_done=limits.max_iterations,
-        max_order_seen=max_order,
-        trace=build_trace(),
-    )
+            limit = "clique-cap" if limits.max_cliques <= limits.max_vertices else "vertex-cap"
+            return result("unknown", i, limit=limit)
+    return result("unknown", limits.max_iterations, limit="iteration-cap")
 
 
 def clique_count(g: Graph, result: BehaviorResult, limits: Limits) -> int:

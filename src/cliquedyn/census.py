@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graph6
 from .behavior import DEFAULT_LIMITS, Limits, classify_behavior, clique_count
@@ -33,50 +34,12 @@ SEARCH_TARGETS = (
 
 
 @dataclass
-class GraphRecord:
-    graph6: str
-    order: int
-    degree: int
-    counts: dict = field(default_factory=dict)
-    complement_helly: bool | None = None
-    helly_witness: list | None = None
-    behavior: dict | None = None
-    triangle_sum_ok: bool | None = None
-    cotriangle_bound_ok: bool | None = None
-    cap_equality_vertices: list | None = None
-    cap_equality_components_ok: bool | None = None
-    cover_violations: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "graph6": self.graph6,
-            "order": self.order,
-            "degree": self.degree,
-            "counts": self.counts,
-        }
-        if self.complement_helly is not None:
-            out["helly"] = self.complement_helly
-            out["helly_witness"] = self.helly_witness
-        if self.behavior is not None:
-            out["behavior"] = self.behavior
-        if self.triangle_sum_ok is not None:
-            out["triangle_sum_ok"] = self.triangle_sum_ok
-        if self.cotriangle_bound_ok is not None:
-            out["cotriangle_bound_ok"] = self.cotriangle_bound_ok
-            out["cap_equality_vertices"] = self.cap_equality_vertices
-            out["cap_equality_components_ok"] = self.cap_equality_components_ok
-        if self.cover_violations is not None:
-            out["cover_violations"] = self.cover_violations
-        return out
-
-
-@dataclass
 class CensusReport:
     spec: dict
     checks: tuple[str, ...]
     total: int
     totals: dict
-    records: list[GraphRecord]
+    records: list[dict]
     exemplars: dict
     runtime_seconds: float
 
@@ -87,7 +50,7 @@ class CensusReport:
             "total": self.total,
             "totals": self.totals,
             "exemplars": self.exemplars,
-            "records": [r.to_json() for r in self.records],
+            "records": self.records,
         }
         if include_runtime:
             doc["runtime_seconds"] = round(self.runtime_seconds, 3)
@@ -95,10 +58,7 @@ class CensusReport:
 
     @property
     def any_unknown(self) -> bool:
-        return any(
-            r.behavior is not None and r.behavior.get("status") == "unknown"
-            for r in self.records
-        )
+        return "unknown" in self.totals.get("behavior", {})
 
 
 def _component_is_kkk(g: Graph, vertex: int, k: int) -> bool:
@@ -109,40 +69,56 @@ def _component_is_kkk(g: Graph, vertex: int, k: int) -> bool:
     return False
 
 
-def _record_for_graph(task: tuple) -> GraphRecord:
+def _record_for_graph(task: tuple) -> dict:
+    """One census record in report form, with keys only for the checks that ran."""
     g, k, checks, limits = task
-    rec = GraphRecord(graph6=graph6.encode(g), order=g.n, degree=k)
     co = complement(g)
-    rec.counts = {
+    counts = {
         "edges": g.edge_count(),
         "triangles": triangle_count(g),
         "cotriangles": triangle_count(co),
     }
+    rec: dict = {"graph6": graph6.encode(g), "order": g.n, "degree": k, "counts": counts}
     if "helly" in checks or "cotriangle-cover" in checks:
         verdict = is_helly(co)
-        rec.complement_helly = verdict.is_helly
-        rec.helly_witness = list(verdict.witness) if verdict.witness else None
+        rec["helly"] = verdict.is_helly
+        rec["helly_witness"] = list(verdict.witness) if verdict.witness else None
     if "behavior" in checks:
         result = classify_behavior(co, limits)
-        rec.behavior = result.to_json()
+        rec["behavior"] = result.to_json()
         try:
-            rec.counts["complement_cliques"] = clique_count(co, result, limits)
+            counts["complement_cliques"] = clique_count(co, result, limits)
         except CliqueLimitError:
-            rec.counts["complement_cliques"] = None
+            counts["complement_cliques"] = None
     if "triangle-sum" in checks:
-        rec.triangle_sum_ok = (
-            rec.counts["triangles"] + rec.counts["cotriangles"] == triangle_sum_rhs(g.n, k)
+        rec["triangle_sum_ok"] = (
+            counts["triangles"] + counts["cotriangles"] == triangle_sum_rhs(g.n, k)
         )
     if "cotriangle-bound" in checks and g.n >= 4 * k:
         cap = vertex_cotriangle_cap(g.n, k)
         profile = cotriangle_adjacency_profile(g)
-        rec.cotriangle_bound_ok = all(c <= cap for c in profile)
+        rec["cotriangle_bound_ok"] = all(c <= cap for c in profile)
         eq = [v for v, c in enumerate(profile) if c == cap]
-        rec.cap_equality_vertices = eq
-        rec.cap_equality_components_ok = all(_component_is_kkk(g, v, k) for v in eq)
-    if "cotriangle-cover" in checks and rec.complement_helly:
-        rec.cover_violations = len(check_cotriangle_cover(g, k))
+        rec["cap_equality_vertices"] = eq
+        rec["cap_equality_components_ok"] = all(_component_is_kkk(g, v, k) for v in eq)
+    if "cotriangle-cover" in checks and rec["helly"]:
+        rec["cover_violations"] = len(check_cotriangle_cover(g, k))
     return rec
+
+
+def _exemplar_buckets(rec: dict) -> list[str]:
+    """Exemplar lists a census record, or a search hit's evidence, belongs to."""
+    out = []
+    if rec.get("helly"):
+        out.append("helly-complement")
+    if "behavior" in rec:
+        status = rec["behavior"]["status"]
+        out.append(f"{status}-complement")
+        if status == "convergent" and rec.get("helly") is False:
+            out.append("convergent-nonhelly-complement")
+    if rec.get("cap_equality_vertices"):
+        out.append("cap-equality")
+    return out
 
 
 def run_census(
@@ -168,47 +144,27 @@ def run_census(
             records = list(pool.map(_record_for_graph, tasks, chunksize=8))
     else:
         records = [_record_for_graph(t) for t in tasks]
-    records.sort(key=lambda r: r.graph6)
+    records.sort(key=lambda r: r["graph6"])
 
-    totals: dict = {"graphs": len(records)}
     exemplars: dict = {}
-
-    def bucket(name: str, rec: GraphRecord):
-        exemplars.setdefault(name, []).append(rec.graph6)
-
+    for rec in records:
+        for name in _exemplar_buckets(rec):
+            exemplars.setdefault(name, []).append(rec["graph6"])
+    totals: dict = {"graphs": len(records)}
     if "helly" in checks or "cotriangle-cover" in checks:
-        totals["helly_complement"] = sum(1 for r in records if r.complement_helly)
-        for r in records:
-            if r.complement_helly:
-                bucket("helly-complement", r)
+        totals["helly_complement"] = len(exemplars.get("helly-complement", []))
     if "behavior" in checks:
-        by_status: dict[str, int] = {}
-        for r in records:
-            status = r.behavior["status"]
-            by_status[status] = by_status.get(status, 0) + 1
-            bucket(f"{status}-complement", r)
-            if status == "convergent" and r.complement_helly is False:
-                bucket("convergent-nonhelly-complement", r)
-        totals["behavior"] = by_status
-        totals["convergent_nonhelly"] = len(
-            exemplars.get("convergent-nonhelly-complement", [])
-        )
+        totals["behavior"] = dict(Counter(r["behavior"]["status"] for r in records))
+        totals["convergent_nonhelly"] = len(exemplars.get("convergent-nonhelly-complement", []))
     if "triangle-sum" in checks:
-        totals["triangle_sum_failures"] = sum(
-            1 for r in records if r.triangle_sum_ok is False
-        )
+        totals["triangle_sum_failures"] = sum(not r["triangle_sum_ok"] for r in records)
     if "cotriangle-bound" in checks:
         totals["cotriangle_bound_failures"] = sum(
-            1 for r in records if r.cotriangle_bound_ok is False
+            r.get("cotriangle_bound_ok") is False for r in records
         )
-        totals["cap_equality_graphs"] = sum(
-            1 for r in records if r.cap_equality_vertices
-        )
-        for r in records:
-            if r.cap_equality_vertices:
-                bucket("cap-equality", r)
+        totals["cap_equality_graphs"] = len(exemplars.get("cap-equality", []))
     if "cotriangle-cover" in checks:
-        totals["cover_violations"] = sum(r.cover_violations or 0 for r in records)
+        totals["cover_violations"] = sum(r.get("cover_violations", 0) for r in records)
     runtime = time.monotonic() - start
     return CensusReport(
         spec=spec.to_json(),
@@ -248,17 +204,9 @@ def search_graphs(
         evidence: dict = {"helly": verdict.is_helly}
         if verdict.witness:
             evidence["helly_witness"] = list(verdict.witness)
-        hit = False
-        if target == "helly-complement":
-            hit = verdict.is_helly
-        else:
-            result = classify_behavior(co, limits)
-            evidence["behavior"] = result.to_json()
-            if target == "divergent-complement":
-                hit = result.is_divergent
-            else:
-                hit = result.is_convergent and not verdict.is_helly
-        if hit:
+        if target != "helly-complement":
+            evidence["behavior"] = classify_behavior(co, limits).to_json()
+        if target in _exemplar_buckets(evidence):
             hits.append({"graph6": graph6.encode(g), "evidence": evidence})
             if max_hits is not None and len(hits) >= max_hits:
                 break

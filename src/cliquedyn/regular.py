@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
@@ -76,14 +76,7 @@ class RegularGenSpec:
         return 0 <= self.k < self.n and (self.n * self.k) % 2 == 0
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "connected_only": self.connected_only,
-        }
+        return asdict(self)
 
 
 def two_switch(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:

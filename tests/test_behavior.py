@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from cliquedyn import (
     ConnectedSumCertificate,
     CycleComplementCertificate,
+    Graph,
     Limits,
     OctahedronCertificate,
     ThreeSummandsCertificate,
@@ -116,14 +121,60 @@ def test_c4_gets_no_certificate():
     assert divergence_certificate(cycle_graph(4)) is None
 
 
+def _swap(seq, i, j):
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
 def test_tampered_certificates_fail_validation():
+    # each certificate validates as issued and fails after one tampering
     g = octahedron(3)
     cert = divergence_certificate(g)
-    bad = OctahedronCertificate(cert.m, tuple(reversed(cert.mapping)))
-    # reversing the pairing map breaks adjacency preservation
-    assert not certificate_is_valid(g, bad) or are_isomorphic(g, g)
-    wrong_graph = cycle_graph(6)
-    assert not certificate_is_valid(wrong_graph, cert)
+    assert certificate_is_valid(g, cert)
+    # 0 and 1 are antipodal in g; sending 1 to 2 maps the non-edge {0, 1} onto an edge
+    assert not certificate_is_valid(g, OctahedronCertificate(cert.m, _swap(cert.mapping, 1, 2)))
+    assert not certificate_is_valid(cycle_graph(6), cert)
+
+    g = complement(cycle_graph(8))
+    cert = divergence_certificate(g)
+    assert certificate_is_valid(g, cert)
+    assert not certificate_is_valid(g, CycleComplementCertificate(cert.n, _swap(cert.mapping, 0, 1)))
+
+    g = complement(disjoint_union([cycle_graph(3)] * 3))
+    cert = divergence_certificate(g)
+    assert certificate_is_valid(g, cert)
+    first, second, *rest = cert.blocks
+    moved = (first[:-1], second + first[-1:], *rest)
+    assert not certificate_is_valid(g, ThreeSummandsCertificate(moved, cert.coaffinations))
+
+    g = complement(disjoint_union([cycle_graph(3), cycle_graph(5)]))
+    cert = divergence_certificate(g)
+    assert certificate_is_valid(g, cert)
+    fixed = (tuple(range(len(cert.blocks[0]))),) + cert.coaffinations[1:]
+    assert not certificate_is_valid(g, ConnectedSumCertificate(cert.blocks, fixed, cert.connected_index))
+    other = 1 - cert.connected_index
+    assert not certificate_is_valid(g, ConnectedSumCertificate(cert.blocks, cert.coaffinations, other))
+
+
+def test_short_or_out_of_range_certificates_fail_validation():
+    # K3 is Helly, hence convergent; three blocks with no coaffination prove nothing
+    k3 = complete_graph(3)
+    assert not certificate_is_valid(k3, ThreeSummandsCertificate(((0,), (1,), (2,)), ()))
+    # K_{2,2,1}: the singleton block has no coaffination, so two of three is short
+    k221 = complement(disjoint_union([complete_graph(2), complete_graph(2), complete_graph(1)]))
+    short = ThreeSummandsCertificate(((0, 1), (2, 3), (4,)), ((1, 0), (1, 0)))
+    assert not certificate_is_valid(k221, short)
+    # C4 = K_{2,2} is convergent; an empty third block must not make it a three-summand join
+    c4 = cycle_graph(4)
+    blocks = tuple(block for block, _ in join_summands(c4))
+    padded = ThreeSummandsCertificate(blocks + ((),), ((1, 0), (1, 0), ()))
+    assert not certificate_is_valid(c4, padded)
+    g = complement(disjoint_union([cycle_graph(3), cycle_graph(5)]))
+    cert = divergence_certificate(g)
+    assert isinstance(cert, ConnectedSumCertificate)
+    for index in (5, 2, cert.connected_index - 2):
+        assert not certificate_is_valid(g, ConnectedSumCertificate(cert.blocks, cert.coaffinations, index))
 
 
 def test_classify_small_convergent():
@@ -268,3 +319,59 @@ def test_classification_result_is_sound(g):
         for _ in range(r.detected_at):
             cur, _ = clique_graph(cur)
         assert certificate_is_valid(cur, r.certificate)
+
+
+# -- pinned report bytes -------------------------------------------------------
+
+def _pin_inputs():
+    rng = random.Random(8)
+    out = []
+    for _ in range(400):
+        n = rng.randrange(1, 14)
+        p = rng.choice((0.2, 0.4, 0.5, 0.6, 0.8))
+        out.append(
+            Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    # one per certified shape, each divergent at iterate 0
+    return out + [
+        octahedron(3),
+        complement(cycle_graph(8)),
+        complement(disjoint_union([cycle_graph(3), cycle_graph(5)])),
+        complement(disjoint_union([cycle_graph(3)] * 3)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "limits, tripped, digest",
+    [
+        (
+            Limits(max_iterations=15, max_vertices=400, max_cliques=40_000),
+            {"vertex-cap"},
+            "124c8224c6571fa91041a0100715ba74d87c83f312c7245df8b55b78553ba4b3",
+        ),
+        (
+            Limits(max_iterations=4, max_vertices=60, max_cliques=30),
+            {"clique-cap", "iteration-cap"},
+            "6d601d9c6257f6fe4a558e2dc9aac88dcecccd64deae6fd0fb4c5dd878969fbe",
+        ),
+        (
+            Limits(max_iterations=6, max_vertices=25, max_cliques=1000),
+            {"vertex-cap", "iteration-cap"},
+            "9501d15fb58821d7897f1ca4e741b735170aae9edf204d94d7b90a77da1e2cd8",
+        ),
+    ],
+)
+def test_classify_behavior_reports_are_pinned(limits, tripped, digest):
+    # seeded G(n, p), n < 14; the digests were computed before the
+    # classifier's exits and invariant scan were rewritten, so they guard
+    # every trace fingerprint ("~" and canonical) and every exit's fields
+    h = hashlib.sha256()
+    outcomes = set()
+    for g in _pin_inputs():
+        doc = classify_behavior(g, limits).to_json()
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        outcomes.add(doc.get("limit") or doc["status"])
+        if doc["status"] == "divergent" and doc["detected_at"] == 0:
+            outcomes.add("divergent-at-0")
+    assert h.hexdigest() == digest
+    assert outcomes == {"convergent", "divergent", "divergent-at-0"} | tripped

@@ -12,7 +12,7 @@ from cliquedyn import (
     disjoint_union,
     maximal_cliques,
 )
-from cliquedyn.census import ALL_CHECKS, run_census, search_graphs
+from cliquedyn.census import ALL_CHECKS, SEARCH_TARGETS, run_census, search_graphs
 from cliquedyn.graph6 import decode
 from cliquedyn.regular import RegularGenSpec
 
@@ -51,7 +51,7 @@ def test_census_records_sorted_and_deterministic():
     rep1 = run_census(RegularGenSpec(k=2, n=8), checks=("helly", "triangle-sum"))
     rep2 = run_census(RegularGenSpec(k=2, n=8), checks=("helly", "triangle-sum"))
     assert rep1.to_json(include_runtime=False) == rep2.to_json(include_runtime=False)
-    keys = [r.graph6 for r in rep1.records]
+    keys = [r["graph6"] for r in rep1.records]
     assert keys == sorted(keys)
     assert rep1.totals["triangle_sum_failures"] == 0
 
@@ -97,12 +97,12 @@ def test_census_cotriangle_checks():
 def test_complement_cliques_match_enumeration_and_trace(limits):
     rep = run_census(RegularGenSpec(k=3, n=8), checks=ALL_CHECKS, limits=limits)
     for r in rep.records:
-        count = len(maximal_cliques(complement(decode(r.graph6))))
+        count = len(maximal_cliques(complement(decode(r["graph6"]))))
         expected = count if count <= limits.max_cliques else None
-        assert r.counts["complement_cliques"] == expected
-        trace = r.behavior["trace"]
+        assert r["counts"]["complement_cliques"] == expected
+        trace = r["behavior"]["trace"]
         if len(trace) >= 2:
-            assert r.counts["complement_cliques"] == trace[1][0]
+            assert r["counts"]["complement_cliques"] == trace[1][0]
 
 
 def test_helly_complement_never_classifies_divergent():
@@ -111,9 +111,9 @@ def test_helly_complement_never_classifies_divergent():
     for spec in (RegularGenSpec(k=3, n=8), RegularGenSpec(k=2, n=8), RegularGenSpec(k=1, n=6)):
         rep = run_census(spec, checks=("helly", "behavior"), limits=TIGHT)
         for r in rep.records:
-            if r.complement_helly:
-                assert r.behavior["status"] != "divergent"
-                assert r.behavior["status"] == "convergent"
+            if r["helly"]:
+                assert r["behavior"]["status"] != "divergent"
+                assert r["behavior"]["status"] == "convergent"
 
 
 def test_search_helly_complement_k3_n12():
@@ -147,3 +147,32 @@ def test_search_budget_and_max_hits():
     assert len(hits) == 2
     hits = search_graphs(RegularGenSpec(k=2, n=9), "divergent-complement", limits=TIGHT, budget=1)
     assert len(hits) == 1
+
+
+SCAN = Limits(max_iterations=15, max_vertices=400, max_cliques=40_000)
+
+
+@pytest.mark.parametrize("k, n", [(3, 10), (3, 12), (2, 9), (4, 9)])
+def test_search_hits_are_the_census_exemplars(k, n):
+    # the search's hit test and the census's exemplar buckets must agree
+    spec = RegularGenSpec(k=k, n=n)
+    exemplars = run_census(spec, ("helly", "behavior"), SCAN).exemplars
+    for target in SEARCH_TARGETS:
+        hits = search_graphs(spec, target, SCAN)
+        assert [h["graph6"] for h in hits] == exemplars.get(target, [])
+
+
+def test_census_records_have_keys_only_for_the_checks_that_ran():
+    spec = RegularGenSpec(k=2, n=8)
+    base = {"graph6", "order", "degree", "counts"}
+    doc = json.loads(run_census(spec, ("helly",)).to_json())
+    assert all(set(r) == base | {"helly", "helly_witness"} for r in doc["records"])
+    # a Helly complement keeps its witness key, as null
+    assert [r["helly_witness"] for r in doc["records"] if r["helly"]] == [None]
+    assert all(len(r["helly_witness"]) == 3 for r in doc["records"] if not r["helly"])
+    doc = json.loads(run_census(spec, ("triangle-sum",)).to_json())
+    assert all(set(r) == base | {"triangle_sum_ok"} for r in doc["records"])
+    # without the Helly check no record is called non-Helly
+    rep = run_census(spec, ("behavior",))
+    assert set(rep.exemplars) == {"convergent-complement", "divergent-complement"}
+    assert rep.totals["convergent_nonhelly"] == 0
