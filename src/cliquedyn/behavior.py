@@ -9,6 +9,13 @@ certified divergent shapes:
   * a join of >= 3 summands, each with a coaffination,
   * a join of two summands, both with coaffinations, one connected.
 
+All four are facts about the components of the complement, so
+`divergence_certificate` reads them off one join decomposition, whose
+summands are those components induced back in g. O_m's complement is m
+disjoint edges, so its summands are m >= 3 vertex pairs; a cycle
+complement's complement is one cycle, so it is a single summand; and
+the two join shapes have two or more summands.
+
 Certificates carry explicit witnesses (isomorphism maps, summand blocks,
 coaffination permutations), and each certificate validates itself:
 `validate(g)` re-checks its witness against g alone, sharing no code with
@@ -160,36 +167,15 @@ def join_summands(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     return [(tuple(bits(mask)), induced(g, mask)) for mask in comps]
 
 
-def _octahedron_certificate(g: Graph) -> OctahedronCertificate | None:
-    n = g.n
-    if n < 6 or n % 2:
-        return None
-    if any(row.bit_count() != n - 2 for row in g.rows):
-        return None
-    co = complement(g)
-    mapping = [-1] * n
-    pair = 0
-    for v in range(n):
-        if mapping[v] >= 0:
-            continue
-        partner = co.rows[v].bit_length() - 1
-        mapping[v] = 2 * pair
-        mapping[partner] = 2 * pair + 1
-        pair += 1
-    return OctahedronCertificate(n // 2, tuple(mapping))
-
-
 def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None:
+    """Cycle-complement certificate for g whose complement is connected (one summand)."""
     n = g.n
     if n < 8:
         return None
-    # degree n - 3 in g is degree 2 in the complement; only such g build it
+    # degree n - 3 in g is degree 2 in the complement, which is connected: a cycle
     if any(row.bit_count() != n - 3 for row in g.rows):
         return None
     co = complement(g)
-    if not is_connected(co):
-        return None
-    # walk the single cycle of the complement
     mapping = [-1] * n
     prev, cur = -1, 0
     for pos in range(n):
@@ -202,29 +188,36 @@ def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None
 def divergence_certificate(g: Graph) -> Certificate | None:
     """First applicable divergence certificate, or None.
 
-    Checked in a fixed order for reproducibility: octahedron, cycle
-    complement, three coaffinable summands, connected sum. A None result
-    is not a convergence claim.
+    Every shape is read off the blocks of `join_summands(g)`: a single
+    block can only be a cycle complement; blocks that are all pairs
+    (with n >= 6) make g the octahedron O_{n/2}, block i's lower vertex
+    mapping to 2i and its higher to 2i + 1; otherwise two or more blocks
+    are tried as a join, three coaffinable summands before a connected
+    sum. The shapes exclude each other, so the order stays octahedron,
+    cycle complement, three summands, connected sum. A None result is
+    not a convergence claim.
     """
     if g.n == 0:
         return None
-    cert = _octahedron_certificate(g) or _cycle_complement_certificate(g)
-    if cert is not None:
-        return cert
     summands = join_summands(g)
-    if len(summands) < 2:
-        return None
+    if len(summands) == 1:
+        return _cycle_complement_certificate(g)
+    blocks = tuple(block for block, _ in summands)
+    if g.n >= 6 and all(len(block) == 2 for block in blocks):
+        mapping = [0] * g.n
+        for i, (lo, hi) in enumerate(blocks):
+            mapping[lo], mapping[hi] = 2 * i, 2 * i + 1
+        return OctahedronCertificate(len(blocks), tuple(mapping))
     coaffs = []
     for _, part in summands:
         sigma = find_coaffination(part, node_cap=COAFF_NODE_CAP)
         if sigma is None:
             return None
         coaffs.append(sigma)
-    blocks = tuple(block for block, _ in summands)
     if len(summands) >= 3:
         return ThreeSummandsCertificate(blocks, tuple(coaffs))
     for idx, (_, part) in enumerate(summands):
-        if part.n > 0 and is_connected(part):
+        if is_connected(part):
             return ConnectedSumCertificate(blocks, tuple(coaffs), idx)
     return None
 

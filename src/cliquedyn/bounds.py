@@ -6,7 +6,7 @@ classified exactly rather than through floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -178,17 +178,9 @@ class BoundReport:
     contradiction: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "cotriangle_lower_bound": self.cotriangle_lb,
-            "per_vertex_cap": self.per_vertex_cap,
-            "poly_value": self.poly_value,
-            "threshold": self.threshold,
-            "incidence_lo": self.incidence_lo,
-            "incidence_hi": self.incidence_hi,
-            "contradiction": self.contradiction,
-        }
+        out = asdict(self)
+        out["cotriangle_lower_bound"] = out.pop("cotriangle_lb")
+        return out
 
 
 def bound_report(n: int, k: int) -> BoundReport:

@@ -270,8 +270,11 @@ def automorphisms_brute(g: Graph) -> list[tuple[int, ...]]:
 
 
 def is_coaffination(g: Graph, perm: tuple[int, ...] | list[int]) -> bool:
-    """Check that perm is an automorphism moving every vertex off its closed neighborhood."""
-    if sorted(perm) != list(range(g.n)):
+    """Check that perm is an automorphism moving every vertex off its closed neighborhood.
+
+    The graph on zero vertices has no coaffination, as in `find_coaffination`.
+    """
+    if g.n == 0 or sorted(perm) != list(range(g.n)):
         return False
     for v in range(g.n):
         img = perm[v]

@@ -20,7 +20,7 @@ from .behavior import DEFAULT_LIMITS, Limits, classify_behavior, clique_count
 from .bounds import cotriangle_adjacency_profile, triangle_sum_rhs, vertex_cotriangle_cap
 from .canon import are_isomorphic
 from .cliques import CliqueLimitError
-from .graphs import Graph, complement, complete_bipartite, connected_components, induced
+from .graphs import complement, complete_bipartite, connected_components, induced, mask_of
 from .helly import check_cotriangle_cover, is_helly, triangle_count
 from .regular import RegularGenSpec, enumerate_regular
 
@@ -61,14 +61,6 @@ class CensusReport:
         return "unknown" in self.totals.get("behavior", {})
 
 
-def _component_is_kkk(g: Graph, vertex: int, k: int) -> bool:
-    for mask in connected_components(g):
-        if (mask >> vertex) & 1:
-            part = induced(g, mask)
-            return part.n == 2 * k and are_isomorphic(part, complete_bipartite(k, k))
-    return False
-
-
 def _record_for_graph(task: tuple) -> dict:
     """One census record in report form, with keys only for the checks that ran."""
     g, k, checks, limits = task
@@ -100,7 +92,12 @@ def _record_for_graph(task: tuple) -> dict:
         rec["cotriangle_bound_ok"] = all(c <= cap for c in profile)
         eq = [v for v, c in enumerate(profile) if c == cap]
         rec["cap_equality_vertices"] = eq
-        rec["cap_equality_components_ok"] = all(_component_is_kkk(g, v, k) for v in eq)
+        eq_mask = mask_of(eq)
+        rec["cap_equality_components_ok"] = not eq or all(
+            are_isomorphic(induced(g, comp), complete_bipartite(k, k))
+            for comp in connected_components(g)
+            if comp & eq_mask
+        )
     if "cotriangle-cover" in checks and rec["helly"]:
         rec["cover_violations"] = len(check_cotriangle_cover(g, k))
     return rec
@@ -135,6 +132,11 @@ def run_census(
     work fans out to a process pool; the merged report is identical to
     a sequential run.
     """
+    if isinstance(checks, str):
+        raise ValueError(f"census checks must be a sequence of names, got the string {checks!r}")
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown census checks {unknown}; use some of {ALL_CHECKS}")
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     start = time.monotonic()
     graphs = list(enumerate_regular(spec, ceiling=ceiling))

@@ -82,11 +82,14 @@ class RegularGenSpec:
 def two_switch(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
     """Replace edges {a,b},{u,v} by {a,u},{b,v}; preserves all degrees.
 
-    Requires both edges present, the four vertices distinct, and the new
-    pairs non-adjacent. Violations raise ValueError naming the pair.
+    Requires both edges present, the four vertices distinct and in range,
+    and the new pairs non-adjacent. Violations raise ValueError naming
+    the pair.
     """
     a, b = e1
     u, v = e2
+    if not all(0 <= x < g.n for x in (a, b, u, v)):
+        raise ValueError(f"2-switch endpoints must lie in 0..{g.n - 1}, got {e1} and {e2}")
     if len({a, b, u, v}) != 4:
         raise ValueError(f"2-switch endpoints must be distinct, got {e1} and {e2}")
     if not g.has_edge(a, b):
@@ -121,7 +124,8 @@ def random_regular(k: int, n: int, seed: int = 0) -> Graph:
 
     Stubs are paired repeatedly, re-shuffling only the conflicted stubs,
     then the result is mixed with 200*n random 2-switch attempts.
-    Identical (k, n, seed) always produce the identical edge set.
+    Identical (k, n, seed) always produce the identical edge set. The
+    seed must be non-negative, since `Random(-s)` repeats `Random(s)`.
 
     The burn-in draws each edge index with the `getrandbits` rejection
     loop that `Random.randrange(m)` runs in CPython, inlined, so the
@@ -135,6 +139,8 @@ def random_regular(k: int, n: int, seed: int = 0) -> Graph:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2:
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     if k == 0:
         return empty_graph(n)
@@ -226,7 +232,9 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
     Exhaustive mode yields exactly one canonically labeled representative
     per isomorphism class, sorted by graph6 string. Random mode yields
     `count` seeded samples (classes may repeat). Unsatisfiable degree
-    specs warn and yield nothing.
+    specs warn and yield nothing. An exhaustive order past the ceiling
+    of its route (cubic or generic, after the complement flip) raises
+    ValueError on the first `next`.
     """
     if not spec.satisfiable():
         warnings.warn(
@@ -234,16 +242,22 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
         )
         return
     if spec.mode == "random":
-        for i in range(spec.count):
-            g = random_regular(spec.k, spec.n, seed=spec.seed + i)
-            if spec.connected_only and not is_connected(g):
-                continue
+        graphs = (random_regular(spec.k, spec.n, seed=spec.seed + i) for i in range(spec.count))
+    else:
+        d = min(spec.k, spec.n - 1 - spec.k)  # degree the route enumerates
+        if d == 3:
+            lid = CUBIC_CEILING_DEFAULT if ceiling is None else min(ceiling, CUBIC_CEILING_MAX)
+        else:
+            lid = GENERIC_CEILING_DEFAULT if ceiling is None else ceiling
+        if d >= 3 and spec.n > lid:
+            route = "cubic" if d == 3 else f"{d}-regular"
+            raise ValueError(
+                f"exhaustive {route} enumeration capped at n={lid} (requested {spec.n})"
+            )
+        graphs = _regular_classes(spec.k, spec.n)
+    for g in graphs:
+        if not spec.connected_only or is_connected(g):
             yield g
-        return
-    for g in _regular_classes(spec.k, spec.n, ceiling):
-        if spec.connected_only and not is_connected(g):
-            continue
-        yield g
 
 
 def _sorted_canonical(graphs) -> tuple[Graph, ...]:
@@ -255,14 +269,14 @@ def _sorted_canonical(graphs) -> tuple[Graph, ...]:
 
 
 @lru_cache(maxsize=None)
-def _regular_classes(k: int, n: int, ceiling: int | None) -> tuple[Graph, ...]:
+def _regular_classes(k: int, n: int) -> tuple[Graph, ...]:
     if k == 0:
         return (empty_graph(n),)
     if k == n - 1:
+        # not through the complement route: canonizing K_n takes exponential time in n
         return (complete_graph(n),)
     if 2 * k > n - 1:
-        flipped = _regular_classes(n - 1 - k, n, ceiling)
-        return _sorted_canonical(complement(g) for g in flipped)
+        return _sorted_canonical(complement(g) for g in _regular_classes(n - 1 - k, n))
     if k == 1:
         return (canonical_graph(matching_graph(n // 2)),)
     if k == 2:
@@ -271,17 +285,7 @@ def _regular_classes(k: int, n: int, ceiling: int | None) -> tuple[Graph, ...]:
             for part in _partitions_min_part(n, 3)
         )
     if k == 3:
-        lid = CUBIC_CEILING_DEFAULT if ceiling is None else min(ceiling, CUBIC_CEILING_MAX)
-        if n > lid:
-            raise ValueError(
-                f"exhaustive cubic enumeration capped at n={lid} (requested {n})"
-            )
         return _cubic_classes(n)
-    lid = GENERIC_CEILING_DEFAULT if ceiling is None else ceiling
-    if n > lid:
-        raise ValueError(
-            f"exhaustive {k}-regular enumeration capped at n={lid} (requested {n})"
-        )
     return _sorted_canonical(_pruned_labeled_regular(n, k))
 
 

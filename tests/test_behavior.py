@@ -26,8 +26,10 @@ from cliquedyn import (
     divergence_certificate,
     empty_graph,
     is_helly,
+    join,
     join_summands,
     octahedron,
+    relabel,
 )
 from cliquedyn.graph6 import decode
 
@@ -375,3 +377,39 @@ def test_classify_behavior_reports_are_pinned(limits, tripped, digest):
             outcomes.add("divergent-at-0")
     assert h.hexdigest() == digest
     assert outcomes == {"convergent", "divergent", "divergent-at-0"} | tripped
+
+
+def _certificate_pin_inputs():
+    rng = random.Random(9)
+    shapes = [octahedron(m) for m in range(3, 7)]
+    shapes += [complement(cycle_graph(n)) for n in range(8, 13)]
+    shapes += [
+        complement(disjoint_union([cycle_graph(3), cycle_graph(5)])),
+        complement(disjoint_union([cycle_graph(3)] * 3)),
+        join(octahedron(2), cycle_graph(5)),
+    ]
+    out = []
+    for g in shapes:
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(relabel(g, perm))
+    for _ in range(400):
+        n = rng.randrange(1, 14)
+        p = rng.choice((0.6, 0.7, 0.8, 0.9))
+        out.append(
+            Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    return out
+
+
+def test_divergence_certificates_are_pinned():
+    # relabeled inputs pin each shape's mapping and block order, not only its kind
+    h = hashlib.sha256()
+    kinds = set()
+    for g in _certificate_pin_inputs():
+        cert = divergence_certificate(g)
+        h.update(json.dumps(cert and cert.to_json(), sort_keys=True).encode() + b"\n")
+        kinds.add(cert and cert.kind)
+    assert kinds == {None, "octahedron", "cycle-complement", "three-summands", "connected-sum"}
+    assert h.hexdigest() == "213fdb512f8a3e448257cf823e485aec29b7c3227d84606448ffbda01ce6e646"

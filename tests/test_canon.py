@@ -122,6 +122,7 @@ def test_empty_graph_coaffination_is_none():
     from cliquedyn import empty_graph
 
     assert find_coaffination(empty_graph(0)) is None
+    assert not is_coaffination(empty_graph(0), ())
     sigma = find_coaffination(empty_graph(4))
     assert sigma is not None and is_coaffination(empty_graph(4), sigma)
 

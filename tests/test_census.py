@@ -12,7 +12,7 @@ from cliquedyn import (
     disjoint_union,
     maximal_cliques,
 )
-from cliquedyn.census import ALL_CHECKS, SEARCH_TARGETS, run_census, search_graphs
+from cliquedyn.census import ALL_CHECKS, SEARCH_TARGETS, _record_for_graph, run_census, search_graphs
 from cliquedyn.graph6 import decode
 from cliquedyn.regular import RegularGenSpec
 
@@ -93,6 +93,14 @@ def test_census_cotriangle_checks():
     assert any(canon(decode(s)) == target for s in eq)
 
 
+def test_cap_equality_reads_only_components_holding_an_equality_vertex():
+    # C4 = K_{2,2} attains the per-vertex cap; the C12 component has no equality vertex
+    for parts in ([cycle_graph(4), cycle_graph(12)], [cycle_graph(12), cycle_graph(4)]):
+        rec = _record_for_graph((disjoint_union(parts), 2, ("cotriangle-bound",), TIGHT))
+        assert len(rec["cap_equality_vertices"]) == 4
+        assert rec["cap_equality_components_ok"]
+
+
 @pytest.mark.parametrize("limits", [TIGHT, Limits(3, 5, 12)])
 def test_complement_cliques_match_enumeration_and_trace(limits):
     rep = run_census(RegularGenSpec(k=3, n=8), checks=ALL_CHECKS, limits=limits)
@@ -135,6 +143,14 @@ def test_search_divergent_complement():
     hits = search_graphs(RegularGenSpec(k=2, n=9), "divergent-complement", limits=TIGHT)
     assert len(hits) == 4
     assert all(h["evidence"]["behavior"]["status"] == "divergent" for h in hits)
+
+
+def test_census_rejects_unknown_checks():
+    spec = RegularGenSpec(k=2, n=8)
+    with pytest.raises(ValueError, match="triangle_sum"):
+        run_census(spec, ("helly", "triangle_sum"))
+    with pytest.raises(ValueError, match="'helly'"):
+        run_census(spec, "helly")
 
 
 def test_search_rejects_unknown_target():

@@ -147,6 +147,7 @@ def test_gen_cli(tmp_path, capsys):
         ["gen", "-k", "-1", "-n", "5"],
         ["analyze", "cycle 5", "--limit-iter", "0"],
         ["search", "-k", "3", "-n", "8", "--target", "helly-complement", "--limit-vertices", "0"],
+        ["census", "-k", "3", "-n", "12", "--random", "--count", "5", "--seed", "-2", "--check", "helly"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(argv, capsys):

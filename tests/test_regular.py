@@ -86,6 +86,21 @@ def test_deterministic_output_order():
     assert a == b == sorted(a)
 
 
+def test_ceiling_is_checked_once_per_request():
+    regular._regular_classes.cache_clear()
+    spec = RegularGenSpec(k=4, n=9)
+    assert list(enumerate_regular(spec, ceiling=9)) == list(enumerate_regular(spec))
+    assert regular._regular_classes.cache_info().currsize == 1
+    # the route's degree sets the ceiling, and the error waits for the first next
+    late = enumerate_regular(RegularGenSpec(k=12, n=16))
+    with pytest.raises(ValueError, match=r"^exhaustive cubic enumeration capped at n=14 \(requested 16\)$"):
+        next(late)
+    with pytest.raises(ValueError, match=r"^exhaustive 4-regular enumeration capped at n=9 \(requested 10\)$"):
+        next(enumerate_regular(RegularGenSpec(k=5, n=10), ceiling=9))
+    for n in range(1, 9):
+        assert list(enumerate_regular(RegularGenSpec(k=n - 1, n=n))) == [complete_graph(n)]
+
+
 def test_ceiling_is_enforced():
     with pytest.raises(ValueError):
         classes(4, 12)
@@ -209,6 +224,10 @@ def test_two_switch_errors_name_failed_pair():
         two_switch(cycle_graph(5), (0, 1), (4, 3))
     with pytest.raises(ValueError, match="distinct"):
         two_switch(c4, (0, 1), (1, 2))
+    with pytest.raises(ValueError, match=r"0\.\.3, got \(0, 1\) and \(4, 2\)"):
+        two_switch(c4, (0, 1), (4, 2))
+    with pytest.raises(ValueError, match=r"0\.\.3, got \(1, 2\) and \(-1, 0\)"):
+        two_switch(c4, (1, 2), (-1, 0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -259,6 +278,11 @@ def test_random_regular_rejects_bad_params():
         random_regular(3, 5, seed=0)
     with pytest.raises(ValueError):
         random_regular(5, 5, seed=0)
+    # Random(-2) draws Random(2)'s stream, so a census from seed -2 would repeat graphs
+    with pytest.raises(ValueError, match="-2"):
+        random_regular(3, 12, seed=-2)
+    with pytest.raises(ValueError, match="-2"):
+        list(enumerate_regular(RegularGenSpec(k=3, n=12, mode="random", count=5, seed=-2)))
 
 
 def test_random_mode_stream():
