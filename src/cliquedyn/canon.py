@@ -2,17 +2,18 @@
 
 The canonizer refines an ordered partition to equitability, then
 backtracks over individualizations of the first smallest non-singleton
-cell. Automorphisms discovered from coinciding leaves prune sibling
-branches (only permutations fixing the current prefix pointwise are
-used, which keeps the pruning sound). The canonical form of a graph is
-the graph6 string of the best relabeling found; two graphs are
-isomorphic iff their canonical forms are equal.
+cell. Each leaf is compared with the first leaf and the best leaf only.
+A leaf equal to one of them gives an automorphism that fixes their
+common prefix pointwise and maps the earlier leaf's branch onto this
+one, so the search jumps back to the depth where the two paths part.
+Recorded automorphisms fixing the current prefix also prune sibling
+branches. The canonical form of a graph is the graph6 string of the
+best relabeling; two graphs are isomorphic iff their forms are equal.
 
 `automorphism_generators` exposes the automorphisms that one search
-records. They generate a subgroup of Aut(g), possibly a proper one when
-`_MAX_GENERATORS` or the leaf-label cap cuts the recording short. That
-suffices for orbit pruning by callers: merging choices along any
-subgroup of Aut(g) keeps at least one choice from every Aut(g)-orbit.
+records. They generate a subgroup of Aut(g), which suffices for orbit
+pruning by callers: merging choices along any subgroup of Aut(g) keeps
+at least one choice from every Aut(g)-orbit.
 
 A brute-force permutation oracle (`isomorphic_brute`) is provided for
 cross-checking the canonizer on small graphs.
@@ -23,10 +24,6 @@ from itertools import permutations
 
 from . import graph6
 from .graphs import Graph, bits, mask_of
-
-# generators kept per canonization; beyond this the group is already
-# collapsing the tree well enough
-_MAX_GENERATORS = 64
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> list[int]:
@@ -94,10 +91,9 @@ class _CanonSearch:
     def __init__(self, g: Graph):
         self.rows = g.rows
         self.n = g.n
-        self.best: tuple[int, ...] | None = None
-        self.best_label: list[int] | None = None
+        self.first: tuple | None = None  # (relabeled rows, label, individualized path)
+        self.best: tuple | None = None  # the same record for the least rows so far
         self.generators: list[tuple[int, ...]] = []
-        self.leaf_labels: dict[tuple[int, ...], list[int]] = {}
 
     def run(self) -> list[int]:
         if self.n == 0:
@@ -105,16 +101,15 @@ class _CanonSearch:
         full = (1 << self.n) - 1
         cells = _refine(self.rows, [full], [full])
         self._descend(cells, ())
-        assert self.best_label is not None
-        return self.best_label
+        assert self.best is not None
+        return self.best[1]
 
-    def _descend(self, cells: list[int], prefix: tuple[int, ...]) -> None:
+    def _descend(self, cells: list[int], prefix: tuple[int, ...]) -> int:
+        """Search below `prefix`; return the depth at which the search resumes."""
         tgt = _first_target_cell(cells)
         if tgt < 0:
-            self._leaf(cells)
-            return
+            return self._leaf(cells, prefix)
         cell = cells[tgt]
-        candidates = list(bits(cell))
         # orbit pruning: a candidate equivalent to an explored sibling
         # under automorphisms fixing the prefix pointwise yields the
         # same leaf strings and is skipped
@@ -122,7 +117,7 @@ class _CanonSearch:
         gen_count = -1
         explored: list[int] = []
         closure: set[int] = set()
-        for v in candidates:
+        for v in bits(cell):
             if len(self.generators) != gen_count:
                 gen_count = len(self.generators)
                 applicable = [
@@ -136,8 +131,10 @@ class _CanonSearch:
             rest = cell & ~(1 << v)
             new_cells = cells[:tgt] + [1 << v, rest] + cells[tgt + 1 :]
             refined = _refine(self.rows, new_cells, [1 << v, rest])
-            self._descend(refined, prefix + (v,))
-        return
+            resume = self._descend(refined, prefix + (v,))
+            if resume < len(prefix):
+                return resume
+        return len(prefix)
 
     @staticmethod
     def _orbit_closure(seed: list[int], gens: list[tuple[int, ...]]) -> set[int]:
@@ -154,21 +151,26 @@ class _CanonSearch:
                     frontier.append(w)
         return out
 
-    def _leaf(self, cells: list[int]) -> None:
+    def _leaf(self, cells: list[int], path: tuple[int, ...]) -> int:
+        """Record a leaf against the first and best leaves; return the resume depth."""
         label = [cell.bit_length() - 1 for cell in cells]
         rel = tuple(_relabeled_rows(self.rows, label))
-        prev = self.leaf_labels.get(rel)
-        if prev is not None:
-            if len(self.generators) < _MAX_GENERATORS:
+        if self.first is None:
+            self.first = self.best = (rel, label, path)
+            return len(path)
+        for rec_rel, rec_label, rec_path in (self.first, self.best):
+            if rel == rec_rel:
                 gen = [0] * self.n
                 for pos in range(self.n):
-                    gen[prev[pos]] = label[pos]
+                    gen[rec_label[pos]] = label[pos]
                 self.generators.append(tuple(gen))
-        elif len(self.leaf_labels) < 4096:
-            self.leaf_labels[rel] = label
-        if self.best is None or rel < self.best:
-            self.best = rel
-            self.best_label = label
+                depth = 0
+                while path[depth] == rec_path[depth]:
+                    depth += 1
+                return depth
+        if rel < self.best[0]:
+            self.best = (rel, label, path)
+        return len(path)
 
 
 def canonical_labeling(g: Graph) -> list[int]:
@@ -180,7 +182,7 @@ def canonical_graph(g: Graph) -> Graph:
     """g relabeled by canonical_labeling; the rows are the search's best leaf."""
     search = _CanonSearch(g)
     search.run()
-    return Graph(g.n, search.best or ())
+    return Graph(g.n, search.best[0] if search.best else ())
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:

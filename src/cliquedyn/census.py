@@ -138,10 +138,12 @@ def run_census(
     if unknown:
         raise ValueError(f"unknown census checks {unknown}; use some of {ALL_CHECKS}")
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
+    if jobs < 1:
+        raise ValueError(f"census jobs must be at least 1, got {jobs}")
     start = time.monotonic()
     graphs = list(enumerate_regular(spec, ceiling=ceiling))
     tasks = [(g, spec.k, checks, limits) for g in graphs]
-    if jobs and jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_record_for_graph, tasks, chunksize=8))
     else:
@@ -197,6 +199,9 @@ def search_graphs(
     """
     if target not in SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}; use one of {SEARCH_TARGETS}")
+    for name, value in (("budget", budget), ("max_hits", max_hits)):
+        if value is not None and value < 1:
+            raise ValueError(f"search {name} must be at least 1, got {value}")
     hits: list[dict] = []
     for examined, g in enumerate(enumerate_regular(spec, ceiling=ceiling)):
         if budget is not None and examined >= budget:

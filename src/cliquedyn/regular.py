@@ -2,10 +2,10 @@
 
 Exhaustive enumeration dispatches by degree:
 
-  * k = 0, 1 and k = n-1 are single classes,
+  * k = 0 and k = 1 are single classes,
   * k = 2 graphs are disjoint unions of cycles, one class per partition
     of n into parts >= 3,
-  * k > (n-1)/2 is enumerated through complements,
+  * k > (n-1)/2, k = n-1 included, is enumerated through complements,
   * k = 3 uses an expansion closure: every cubic graph on n vertices
     either arises from one on n-2 vertices by subdividing two distinct
     edges and joining the new vertices, or belongs to an explicitly
@@ -272,9 +272,6 @@ def _sorted_canonical(graphs) -> tuple[Graph, ...]:
 def _regular_classes(k: int, n: int) -> tuple[Graph, ...]:
     if k == 0:
         return (empty_graph(n),)
-    if k == n - 1:
-        # not through the complement route: canonizing K_n takes exponential time in n
-        return (complete_graph(n),)
     if 2 * k > n - 1:
         return _sorted_canonical(complement(g) for g in _regular_classes(n - 1 - k, n))
     if k == 1:

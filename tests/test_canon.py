@@ -1,16 +1,23 @@
+import hashlib
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from cliquedyn import (
+    Graph,
     are_isomorphic,
+    canon,
     canonical_form,
     canonical_graph,
     canonical_labeling,
     complement,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     find_coaffination,
     is_coaffination,
     isomorphic_brute,
@@ -119,8 +126,6 @@ def test_complete_graphs_have_no_coaffination():
 
 
 def test_empty_graph_coaffination_is_none():
-    from cliquedyn import empty_graph
-
     assert find_coaffination(empty_graph(0)) is None
     assert not is_coaffination(empty_graph(0), ())
     sigma = find_coaffination(empty_graph(4))
@@ -141,3 +146,68 @@ def test_coaffination_agrees_with_brute_force(g):
     else:
         assert is_coaffination(g, sigma)
         assert brute
+
+
+def _canon_pin_inputs():
+    rng = random.Random(17)
+    shapes = [complete_graph(n) for n in range(1, 13)] + [empty_graph(n) for n in range(1, 13)]
+    shapes += [complete_bipartite(a, a) for a in range(1, 7)]
+    shapes += [octahedron(m) for m in range(2, 7)] + [matching_graph(m) for m in range(1, 7)]
+    shapes += [cycle_graph(n) for n in range(3, 13)]
+    shapes += [complement(cycle_graph(n)) for n in range(3, 13)]
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        shapes.append(
+            Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    out = []
+    for g in shapes:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out += [g, relabel(g, perm)]
+    return out
+
+
+def test_canonical_labelings_and_forms_are_pinned():
+    # the labeling, not only the form: which of the automorphic best
+    # leaves the search keeps is part of its output
+    h = hashlib.sha256()
+    for g in _canon_pin_inputs():
+        h.update(json.dumps([canonical_labeling(g), canonical_form(g)]).encode() + b"\n")
+    assert h.hexdigest() == "717cd5fe76b47e6e7225a855f5cb531e887b73e8bc41d49f61feb86012773fcc"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(15),
+        empty_graph(15),
+        complete_graph(40),
+        empty_graph(40),
+        complete_bipartite(7, 7),
+        complete_bipartite(20, 20),
+        octahedron(8),
+        octahedron(20),
+        matching_graph(8),
+        disjoint_union([complete_graph(4)] * 3),
+    ],
+    ids=["K15", "E15", "K40", "E40", "K7_7", "K20_20", "O8", "O20", "8K2", "3K4"],
+)
+def test_search_leaves_on_symmetric_graphs_are_at_most_n(g, monkeypatch):
+    leaves = 0
+    real_leaf = canon._CanonSearch._leaf
+
+    def counting_leaf(self, *args):
+        nonlocal leaves
+        leaves += 1
+        assert leaves <= g.n, "more search leaves than vertices"
+        return real_leaf(self, *args)
+
+    monkeypatch.setattr(canon._CanonSearch, "_leaf", counting_leaf)
+    label = canonical_labeling(g)
+    monkeypatch.undo()
+    inv = [0] * g.n
+    for pos, v in enumerate(label):
+        inv[v] = pos
+    assert canonical_graph(g) == relabel(g, inv)

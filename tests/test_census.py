@@ -158,6 +158,19 @@ def test_search_rejects_unknown_target():
         search_graphs(RegularGenSpec(k=2, n=8), "no-such-target")
 
 
+def test_census_rejects_fewer_than_one_job():
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"census jobs must be at least 1, got {jobs}"):
+            run_census(RegularGenSpec(k=2, n=8), ("helly",), jobs=jobs)
+
+
+@pytest.mark.parametrize("name", ["budget", "max_hits"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_search_rejects_budget_and_max_hits_below_one(name, value):
+    with pytest.raises(ValueError, match=f"search {name} must be at least 1, got {value}"):
+        search_graphs(RegularGenSpec(k=3, n=8), "helly-complement", **{name: value})
+
+
 def test_search_budget_and_max_hits():
     hits = search_graphs(RegularGenSpec(k=2, n=9), "divergent-complement", limits=TIGHT, max_hits=2)
     assert len(hits) == 2

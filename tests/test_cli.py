@@ -148,6 +148,10 @@ def test_gen_cli(tmp_path, capsys):
         ["analyze", "cycle 5", "--limit-iter", "0"],
         ["search", "-k", "3", "-n", "8", "--target", "helly-complement", "--limit-vertices", "0"],
         ["census", "-k", "3", "-n", "12", "--random", "--count", "5", "--seed", "-2", "--check", "helly"],
+        ["census", "-k", "3", "-n", "8", "--jobs", "0"],
+        ["search", "-k", "3", "-n", "8", "--target", "helly-complement", "--max-hits", "0"],
+        ["search", "-k", "3", "-n", "8", "--target", "helly-complement", "--max-hits", "-1"],
+        ["search", "-k", "3", "-n", "8", "--target", "helly-complement", "--budget", "0"],
     ],
 )
 def test_bad_flags_exit_2_with_one_line(argv, capsys):

@@ -97,7 +97,8 @@ def test_ceiling_is_checked_once_per_request():
         next(late)
     with pytest.raises(ValueError, match=r"^exhaustive 4-regular enumeration capped at n=9 \(requested 10\)$"):
         next(enumerate_regular(RegularGenSpec(k=5, n=10), ceiling=9))
-    for n in range(1, 9):
+    # K_n comes through the complement route, as every k > (n - 1) / 2 does
+    for n in list(range(1, 9)) + [16, 30]:
         assert list(enumerate_regular(RegularGenSpec(k=n - 1, n=n))) == [complete_graph(n)]
 
 
@@ -441,9 +442,12 @@ def test_orbit_representatives_of_small_cubic_classes_are_one_per_orbit():
 def test_truncated_automorphism_group_keeps_every_cubic_class(
     cap, cold_regular_caches, monkeypatch
 ):
+    # keep only the first `cap` generators, so orbits merge along a subgroup of Aut(g)
     full = _cubic_classes(10)
     _clear_regular_caches()
-    monkeypatch.setattr(canon, "_MAX_GENERATORS", cap)
+    monkeypatch.setattr(
+        regular, "automorphism_generators", lambda g: canon.automorphism_generators(g)[:cap]
+    )
     assert _cubic_classes(10) == full
 
 
