@@ -24,10 +24,9 @@ from .bounds import (
     BoundReport,
     bound_report,
     bound_table,
+    cotriangle_adjacency_profile,
     cotriangle_lower_bound,
     cotriangle_lower_bound_exact,
-    count_cotriangle_incidences,
-    count_cotriangles_at_vertex,
     helly_threshold,
     threshold_poly,
     triangle_sum_rhs,
@@ -41,15 +40,13 @@ from .canon import (
     canonical_labeling,
     find_coaffination,
     is_coaffination,
-    isomorphic_brute,
 )
 from .census import ALL_CHECKS, CensusReport, SEARCH_TARGETS, run_census, search_graphs
-from .cliques import CliqueLimitError, CliqueList, clique_graph, maximal_cliques
-from .graph6 import Graph6Error, decode, encode, read_edge_list, write_edge_list
+from .cliques import CliqueLimitError, clique_graph, maximal_cliques
+from .graph6 import Graph6Error, decode, encode, read_edge_list
 from .graphs import (
     Graph,
     bits,
-    common_neighbors,
     complement,
     complete_bipartite,
     complete_graph,
@@ -67,15 +64,10 @@ from .graphs import (
 )
 from .helly import (
     HellyVerdict,
-    OracleLimitError,
     check_cotriangle_cover,
-    cone_apex,
-    cotriangle_adjacent_vertices,
     cotriangle_count,
     cotriangles,
     extended_triangle,
-    helly_brute_oracle,
-    helly_witnesses,
     is_helly,
     triangle_count,
     triangles,
@@ -83,7 +75,6 @@ from .helly import (
 from .regular import (
     RegularGenSpec,
     enumerate_regular,
-    enumerate_regular_brute,
     random_regular,
     two_switch,
 )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .canon import canonical_form, find_coaffination, is_coaffination
-from .cliques import CliqueLimitError, clique_graph, maximal_cliques
+from .cliques import DEFAULT_CLIQUE_CAP, CliqueLimitError, clique_graph, maximal_cliques
 from .helly import triangle_count
 from .graphs import (
     Graph,
@@ -55,7 +55,7 @@ class Limits:
 
     max_iterations: int = 30
     max_vertices: int = 20_000
-    max_cliques: int = 2_000_000
+    max_cliques: int = DEFAULT_CLIQUE_CAP
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.max_vertices < 1 or self.max_cliques < 1:
@@ -63,9 +63,6 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
-
-# search-node budget for each summand's coaffination in divergence_certificate
-COAFF_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def divergence_certificate(g: Graph) -> Certificate | None:
         return OctahedronCertificate(len(blocks), tuple(mapping))
     coaffs = []
     for _, part in summands:
-        sigma = find_coaffination(part, node_cap=COAFF_NODE_CAP)
+        sigma = find_coaffination(part)
         if sigma is None:
             return None
         coaffs.append(sigma)

@@ -122,13 +122,6 @@ def _cotriangles_at(nx: int, co: tuple[int, ...]) -> int:
     return total
 
 
-def count_cotriangles_at_vertex(g: Graph, x: int) -> int:
-    """Number of cotriangles with at least two members adjacent to x."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range for n={g.n}")
-    return _cotriangles_at(g.rows[x], complement(g).rows)
-
-
 def cotriangle_adjacency_profile(g: Graph) -> list[int]:
     """Per-vertex cotriangle adjacency counts, in O(n * k^2) popcounts.
 
@@ -146,15 +139,6 @@ def cotriangle_adjacency_profile(g: Graph) -> list[int]:
     """
     co = complement(g).rows
     return [_cotriangles_at(nx, co) for nx in g.rows]
-
-
-def count_cotriangle_incidences(g: Graph) -> int:
-    """Edges of the vertex/cotriangle adjacency incidence structure.
-
-    Equals the sum over cotriangles of their adjacent-vertex counts,
-    and equally the sum over vertices of count_cotriangles_at_vertex.
-    """
-    return sum(cotriangle_adjacency_profile(g))
 
 
 @dataclass(frozen=True)

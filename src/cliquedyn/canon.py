@@ -14,16 +14,14 @@ best relabeling; two graphs are isomorphic iff their forms are equal.
 records. They generate a subgroup of Aut(g), which suffices for orbit
 pruning by callers: merging choices along any subgroup of Aut(g) keeps
 at least one choice from every Aut(g)-orbit.
-
-A brute-force permutation oracle (`isomorphic_brute`) is provided for
-cross-checking the canonizer on small graphs.
 """
 from __future__ import annotations
 
-from itertools import permutations
-
 from . import graph6
 from .graphs import Graph, bits, mask_of
+
+# search-node budget of one find_coaffination call
+COAFF_NODE_CAP = 200_000
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> list[int]:
@@ -213,64 +211,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def isomorphic_brute(g: Graph, h: Graph) -> bool:
-    """Exhaustive isomorphism oracle, independent of the canonizer.
-
-    Plain backtracking over vertex assignments with degree and adjacency
-    consistency checks; exponential, for small-n testing only.
-    """
-    if g.n != h.n:
-        return False
-    if g.n > 10:
-        raise ValueError("brute-force isomorphism oracle capped at n=10")
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    n = g.n
-    gd = g.degrees()
-    hd = h.degrees()
-    assigned = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or gd[v] != hd[w]:
-                continue
-            if any(
-                ((g.rows[v] >> u) & 1) != ((h.rows[w] >> assigned[u]) & 1)
-                for u in range(v)
-            ):
-                continue
-            assigned[v] = w
-            used[w] = True
-            if extend(v + 1):
-                return True
-            used[w] = False
-            assigned[v] = -1
-        return False
-
-    return extend(0)
-
-
-def automorphisms_brute(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms by exhaustive search; for small-n testing only."""
-    if g.n > 8:
-        raise ValueError("brute-force automorphism listing capped at n=8")
-    out = []
-    deg = g.degrees()
-    for perm in permutations(range(g.n)):
-        if any(deg[v] != deg[perm[v]] for v in range(g.n)):
-            continue
-        if all(
-            ((g.rows[u] >> v) & 1) == ((g.rows[perm[u]] >> perm[v]) & 1)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-        ):
-            out.append(perm)
-    return out
-
-
 def is_coaffination(g: Graph, perm: tuple[int, ...] | list[int]) -> bool:
     """Check that perm is an automorphism moving every vertex off its closed neighborhood.
 
@@ -289,12 +229,12 @@ def is_coaffination(g: Graph, perm: tuple[int, ...] | list[int]) -> bool:
     return True
 
 
-def find_coaffination(g: Graph, node_cap: int = 500_000) -> tuple[int, ...] | None:
+def find_coaffination(g: Graph) -> tuple[int, ...] | None:
     """Automorphism sigma with sigma(x) outside N[x] for every x, or None.
 
     The constraint is folded into the backtracking as a candidate filter
     rather than enumerating the automorphism group first. The graph on
-    zero vertices has no coaffination by convention. `node_cap` bounds
+    zero vertices has no coaffination by convention. COAFF_NODE_CAP bounds
     the search; on cap exhaustion the search reports None, which callers
     treat as "no certificate found" (never as a wrong answer).
     """
@@ -322,7 +262,7 @@ def find_coaffination(g: Graph, node_cap: int = 500_000) -> tuple[int, ...] | No
         if idx == n:
             return True
         nodes += 1
-        if nodes > node_cap:
+        if nodes > COAFF_NODE_CAP:
             return False
         v = order[idx]
         cand = base_candidates[v] & ~used
@@ -341,7 +281,7 @@ def find_coaffination(g: Graph, node_cap: int = 500_000) -> tuple[int, ...] | No
                 return True
             used &= ~(1 << w)
             assigned[v] = -1
-            if nodes > node_cap:
+            if nodes > COAFF_NODE_CAP:
                 return False
         return False
 

@@ -7,8 +7,6 @@ CliqueLimitError instead of an unbounded run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, bits
 
 DEFAULT_CLIQUE_CAP = 2_000_000
@@ -22,25 +20,8 @@ class CliqueLimitError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class CliqueList:
-    """Maximal cliques of a host graph, as vertex masks in a fixed order."""
-
-    host: Graph
-    masks: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def vertex_sets(self) -> list[tuple[int, ...]]:
-        return [tuple(bits(m)) for m in self.masks]
-
-
-def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueList:
-    """All maximal cliques of g, deduplicated, in deterministic order.
+def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
+    """All maximal cliques of g as vertex masks, deduplicated, in deterministic order.
 
     Order is lexicographic on the sorted vertex tuples. The empty graph
     has no cliques; an isolated vertex is a clique of size one.
@@ -48,7 +29,7 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueList:
     rows = g.rows
     out: list[int] = []
     if g.n == 0:
-        return CliqueList(g, ())
+        return ()
     # frames (R, P, X, branches left); never more than |clique| + 1 deep
     stack: list[tuple[int, int, int, int]] = []
     r, p, x = 0, g.full_mask(), 0
@@ -80,21 +61,21 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueList:
         row = rows[vb.bit_length() - 1]
         r, p, x = r | vb, p & row, x & row
     out.sort(key=lambda m: tuple(bits(m)))
-    return CliqueList(g, tuple(out))
+    return tuple(out)
 
 
-def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[Graph, CliqueList]:
+def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[Graph, tuple[int, ...]]:
     """The intersection graph of the maximal cliques of g.
 
-    Vertex i of the returned graph is clique i of the returned
-    CliqueList; vertices are adjacent iff the cliques share a vertex.
+    Vertex i of the returned graph is clique mask i of the returned
+    tuple; vertices are adjacent iff the cliques share a vertex.
     """
     cl = maximal_cliques(g, cap=cap)
     k = len(cl)
     rows = [0] * k
     # cliques through a common vertex form a complete block in K(g)
     through: list[list[int]] = [[] for _ in range(g.n)]
-    for i, m in enumerate(cl.masks):
+    for i, m in enumerate(cl):
         for v in bits(m):
             through[v].append(i)
     for group in through:

@@ -109,10 +109,6 @@ def read_graph6_lines(text: str) -> list[Graph]:
     return graphs
 
 
-def write_graph6_lines(graphs) -> str:
-    return "\n".join(encode(g) for g in graphs) + "\n"
-
-
 def read_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -132,9 +128,3 @@ def read_edge_list(text: str) -> Graph:
     g = Graph.from_edges(n, edges)
     g.validate()
     return g
-
-
-def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -186,15 +186,6 @@ def join(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, rows)
 
 
-def common_neighbors(g: Graph, a: int, b: int) -> int:
-    """Mask of vertices adjacent to both a and b (never contains a or b)."""
-    if a == b:
-        raise ValueError(f"common neighbors need two distinct vertices, got {a} twice")
-    if not (0 <= a < g.n and 0 <= b < g.n):
-        raise ValueError(f"vertices ({a}, {b}) out of range for n={g.n}")
-    return g.rows[a] & g.rows[b]
-
-
 def induced(g: Graph, vertices: int | Iterable[int]) -> Graph:
     """Induced subgraph; vertices may be a mask or an iterable of indices.
 

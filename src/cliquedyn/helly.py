@@ -2,26 +2,14 @@
 
 A graph is (clique-)Helly iff for every triangle T the extended triangle
 (the induced subgraph on vertices adjacent to at least two members of T)
-is a cone. That polynomial test is implemented here next to a
-brute-force oracle that checks the defining property over all
-subfamilies of cliques, used to cross-validate the fast path.
+is a cone; `is_helly` makes that polynomial test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cliques import maximal_cliques
 from .graphs import Graph, bits, complement
-
-
-class OracleLimitError(RuntimeError):
-    """Brute-force Helly oracle refused an input with too many cliques."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} cliques exceed the oracle cap of {cap}")
-        self.count = count
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -91,15 +79,6 @@ def _two_neighbor_mask(g: Graph, t) -> int:
     return (ra & rb) | (ra & rc) | (rb & rc)
 
 
-def cone_apex(g: Graph) -> int | None:
-    """A vertex adjacent to all others, or None. K_1 is a cone with apex 0."""
-    target = g.n - 1
-    for v in range(g.n):
-        if g.rows[v].bit_count() == target:
-            return v
-    return None
-
-
 def _ext_has_apex(g: Graph, ext: int) -> bool:
     # cone test on the induced subgraph: apex must dominate ext, not all of g
     for v in bits(ext):
@@ -119,63 +98,6 @@ def is_helly(g: Graph) -> HellyVerdict:
         if not _ext_has_apex(g, _two_neighbor_mask(g, t)):
             return HellyVerdict(False, t)
     return HellyVerdict(True, None)
-
-
-def helly_witnesses(g: Graph) -> list[tuple[int, int, int]]:
-    """Every triangle whose extended triangle is not a cone (diagnostics)."""
-    out = []
-    for t in triangles(g):
-        if not _ext_has_apex(g, extended_triangle(g, t)):
-            out.append(t)
-    return out
-
-
-def helly_brute_oracle(g: Graph, clique_cap: int = 20) -> bool:
-    """Check the Helly property directly over all subfamilies of cliques.
-
-    Exponential in the clique count, so inputs with more than
-    `clique_cap` cliques are rejected.
-    """
-    masks = maximal_cliques(g).masks
-    c = len(masks)
-    if c > clique_cap:
-        raise OracleLimitError(c, clique_cap)
-    full = g.full_mask()
-    # subsets ordered by increasing popcount would exit marginally earlier;
-    # plain order is fast enough below the cap
-    for sub in range(1, 1 << c):
-        chosen = [masks[i] for i in bits(sub)]
-        inter = full
-        for m in chosen:
-            inter &= m
-        if inter:
-            continue
-        pairwise = all(
-            chosen[i] & chosen[j]
-            for i in range(len(chosen))
-            for j in range(i + 1, len(chosen))
-        )
-        if pairwise:
-            return False
-    return True
-
-
-def is_cotriangle(g: Graph, t) -> bool:
-    a, b, c = t
-    if len({a, b, c}) != 3 or not all(0 <= v < g.n for v in (a, b, c)):
-        return False
-    return not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
-
-
-def cotriangle_adjacent_vertices(g: Graph, t) -> int:
-    """Mask of vertices with >= 2 neighbors in the cotriangle t.
-
-    Members of t are never included: t is independent, so each member
-    has zero neighbors inside it.
-    """
-    if not is_cotriangle(g, t):
-        raise ValueError(f"{tuple(t)} is not a cotriangle of the graph")
-    return _two_neighbor_mask(g, t)
 
 
 def check_cotriangle_cover(g: Graph, k: int) -> list[tuple[tuple[int, int, int], int]]:

@@ -21,9 +21,7 @@ Exhaustive enumeration dispatches by degree:
 
 All paths deduplicate through canonical forms and emit canonically
 labeled graphs sorted by their graph6 string, so output order is
-reproducible. `enumerate_regular_brute` is a deliberately naive
-enumerator (no symmetry pruning, brute-force isomorphism dedup) kept as
-an independent oracle for small orders.
+reproducible.
 """
 from __future__ import annotations
 
@@ -34,10 +32,9 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from . import graph6
-from .canon import automorphism_generators, canonical_graph, isomorphic_brute
+from .canon import automorphism_generators, canonical_graph
 from .graphs import (
     Graph,
-    bits,
     complement,
     complete_graph,
     cycle_graph,
@@ -46,7 +43,6 @@ from .graphs import (
     is_connected,
     matching_graph,
 )
-from .helly import triangle_count
 
 CUBIC_CEILING_DEFAULT = 14
 GENERIC_CEILING_DEFAULT = 10
@@ -539,72 +535,3 @@ def _pruned_labeled_regular(n: int, k: int):
     deg[0] = k
     place(1)
     return out
-
-
-# -- naive oracle ------------------------------------------------------------
-
-def enumerate_regular_brute(k: int, n: int, max_n: int = 8) -> list[Graph]:
-    """Independent brute-force census: all labeled graphs, brute-force dedup.
-
-    No symmetry pruning and no shared canonical machinery: isomorphism
-    is decided by permutation search, with cheap invariants only used to
-    shortcut comparisons. Exponential; capped at small n.
-    """
-    if n > max_n:
-        raise ValueError(f"brute-force enumeration capped at n={max_n}")
-    if not (0 <= k < n) or (n * k) % 2:
-        return []
-    reps: list[Graph] = []
-    invariants: list[tuple] = []
-    for g in _all_labeled_regular(n, k):
-        inv = _cheap_invariant(g)
-        found = False
-        for rep, rinv in zip(reps, invariants):
-            if rinv == inv and isomorphic_brute(g, rep):
-                found = True
-                break
-        if not found:
-            reps.append(g)
-            invariants.append(inv)
-    reps.sort(key=graph6.encode)
-    return reps
-
-
-def _cheap_invariant(g: Graph) -> tuple:
-    per_vertex = []
-    for v in range(g.n):
-        tri = 0
-        for u in bits(g.rows[v]):
-            tri += (g.rows[v] & g.rows[u]).bit_count()
-        per_vertex.append(tri // 2)
-    return (triangle_count(g), tuple(sorted(per_vertex)))
-
-
-def _all_labeled_regular(n: int, k: int):
-    rows = [0] * n
-    deg = [0] * n
-
-    def place(v: int):
-        if v == n:
-            yield Graph(n, rows.copy())
-            return
-        need = k - deg[v]
-        if need < 0:
-            return
-        avail = [w for w in range(v + 1, n) if deg[w] < k]
-        if need > len(avail):
-            return
-        for combo in combinations(avail, need):
-            for w in combo:
-                rows[v] |= 1 << w
-                rows[w] |= 1 << v
-                deg[v] += 1
-                deg[w] += 1
-            yield from place(v + 1)
-            for w in combo:
-                rows[v] &= ~(1 << w)
-                rows[w] &= ~(1 << v)
-                deg[v] -= 1
-                deg[w] -= 1
-
-    yield from place(0)

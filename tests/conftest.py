@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from cliquedyn import canonical_form
-from cliquedyn.regular import enumerate_regular_brute
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import enumerate_regular_brute  # noqa: E402
 
 
 @pytest.fixture(scope="session")

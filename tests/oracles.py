@@ -1,0 +1,189 @@
+"""Brute-force reference implementations that the tests compare the library against.
+
+Each one decides its question from the definition, exponentially where
+it must, and reuses no fast-path kernel of the function it checks. They
+live here, outside the package, so that no library code can call one.
+"""
+from collections import Counter
+from itertools import combinations, permutations
+
+from cliquedyn import Graph, bits, encode, mask_of, maximal_cliques, triangle_count
+
+
+def isomorphic_brute(g: Graph, h: Graph) -> bool:
+    """Exhaustive isomorphism oracle, independent of the canonizer.
+
+    Plain backtracking over vertex assignments with degree and adjacency
+    consistency checks; exponential, for small-n testing only.
+    """
+    if g.n != h.n:
+        return False
+    if g.n > 10:
+        raise ValueError("brute-force isomorphism oracle capped at n=10")
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    n = g.n
+    gd = g.degrees()
+    hd = h.degrees()
+    assigned = [-1] * n
+    used = [False] * n
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if used[w] or gd[v] != hd[w]:
+                continue
+            if any(
+                ((g.rows[v] >> u) & 1) != ((h.rows[w] >> assigned[u]) & 1)
+                for u in range(v)
+            ):
+                continue
+            assigned[v] = w
+            used[w] = True
+            if extend(v + 1):
+                return True
+            used[w] = False
+            assigned[v] = -1
+        return False
+
+    return extend(0)
+
+
+def automorphisms_brute(g: Graph) -> list[tuple[int, ...]]:
+    """All automorphisms by exhaustive search; for small-n testing only."""
+    if g.n > 8:
+        raise ValueError("brute-force automorphism listing capped at n=8")
+    out = []
+    deg = g.degrees()
+    for perm in permutations(range(g.n)):
+        if any(deg[v] != deg[perm[v]] for v in range(g.n)):
+            continue
+        if all(
+            ((g.rows[u] >> v) & 1) == ((g.rows[perm[u]] >> perm[v]) & 1)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+        ):
+            out.append(perm)
+    return out
+
+
+def helly_brute_oracle(g: Graph, clique_cap: int = 20) -> bool:
+    """Check the Helly property directly over all subfamilies of cliques.
+
+    Exponential in the clique count, so the enumeration itself stops
+    with CliqueLimitError once g shows more than `clique_cap` cliques.
+    """
+    masks = maximal_cliques(g, cap=clique_cap)
+    c = len(masks)
+    full = g.full_mask()
+    # subsets ordered by increasing popcount would exit marginally earlier;
+    # plain order is fast enough below the cap
+    for sub in range(1, 1 << c):
+        chosen = [masks[i] for i in bits(sub)]
+        inter = full
+        for m in chosen:
+            inter &= m
+        if inter:
+            continue
+        pairwise = all(
+            chosen[i] & chosen[j]
+            for i in range(len(chosen))
+            for j in range(i + 1, len(chosen))
+        )
+        if pairwise:
+            return False
+    return True
+
+
+def _two_neighbor_vertices(g: Graph, t) -> list[int]:
+    """Vertices with at least two neighbours in t, counted one member of t at a time."""
+    counts = Counter(v for u in t for v in bits(g.rows[u]))
+    return sorted(v for v, c in counts.items() if c >= 2)
+
+
+def helly_witnesses(g: Graph) -> list[tuple[int, int, int]]:
+    """Every triangle whose extended triangle is not a cone, in lexicographic order."""
+    out = []
+    for t in combinations(range(g.n), 3):
+        if not all(g.has_edge(a, b) for a, b in combinations(t, 2)):
+            continue
+        ext = _two_neighbor_vertices(g, t)
+        if not any(all(g.has_edge(v, u) for u in ext if u != v) for v in ext):
+            out.append(t)
+    return out
+
+
+def cotriangle_adjacent_vertices(g: Graph, t) -> int:
+    """Mask of vertices with >= 2 neighbors in the cotriangle t."""
+    in_range = len(set(t)) == 3 and all(0 <= v < g.n for v in t)
+    if not in_range or any(g.has_edge(a, b) for a, b in combinations(t, 2)):
+        raise ValueError(f"{tuple(t)} is not a cotriangle of the graph")
+    return mask_of(_two_neighbor_vertices(g, t))
+
+
+def enumerate_regular_brute(k: int, n: int, max_n: int = 8) -> list[Graph]:
+    """Independent brute-force census: all labeled graphs, brute-force dedup.
+
+    No symmetry pruning and no shared canonical machinery: isomorphism
+    is decided by permutation search, with cheap invariants only used to
+    shortcut comparisons. Exponential; capped at small n.
+    """
+    if n > max_n:
+        raise ValueError(f"brute-force enumeration capped at n={max_n}")
+    if not (0 <= k < n) or (n * k) % 2:
+        return []
+    reps: list[Graph] = []
+    invariants: list[tuple] = []
+    for g in _all_labeled_regular(n, k):
+        inv = _cheap_invariant(g)
+        found = False
+        for rep, rinv in zip(reps, invariants):
+            if rinv == inv and isomorphic_brute(g, rep):
+                found = True
+                break
+        if not found:
+            reps.append(g)
+            invariants.append(inv)
+    reps.sort(key=encode)
+    return reps
+
+
+def _cheap_invariant(g: Graph) -> tuple:
+    per_vertex = []
+    for v in range(g.n):
+        tri = 0
+        for u in bits(g.rows[v]):
+            tri += (g.rows[v] & g.rows[u]).bit_count()
+        per_vertex.append(tri // 2)
+    return (triangle_count(g), tuple(sorted(per_vertex)))
+
+
+def _all_labeled_regular(n: int, k: int):
+    rows = [0] * n
+    deg = [0] * n
+
+    def place(v: int):
+        if v == n:
+            yield Graph(n, rows.copy())
+            return
+        need = k - deg[v]
+        if need < 0:
+            return
+        avail = [w for w in range(v + 1, n) if deg[w] < k]
+        if need > len(avail):
+            return
+        for combo in combinations(avail, need):
+            for w in combo:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+                deg[v] += 1
+                deg[w] += 1
+            yield from place(v + 1)
+            for w in combo:
+                rows[v] &= ~(1 << w)
+                rows[w] &= ~(1 << v)
+                deg[v] -= 1
+                deg[w] -= 1
+
+    yield from place(0)

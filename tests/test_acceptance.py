@@ -25,7 +25,6 @@ from cliquedyn import (
     disjoint_union,
     divergence_certificate,
     empty_graph,
-    helly_brute_oracle,
     helly_threshold,
     induced,
     is_connected,
@@ -43,6 +42,8 @@ from cliquedyn.bounds import cotriangle_adjacency_profile
 from cliquedyn.canon import canonical_graph
 from cliquedyn.graphs import Graph, bits
 from cliquedyn.regular import RegularGenSpec, enumerate_regular
+
+from oracles import helly_brute_oracle
 
 # tight enough to dispose of divergent iterates quickly, generous enough
 # that every convergent complement in these censuses closes its loop

@@ -13,12 +13,10 @@ from cliquedyn import (
     complement,
     complete_bipartite,
     complete_graph,
-    cotriangle_adjacent_vertices,
+    cotriangle_adjacency_profile,
     cotriangle_lower_bound,
     cotriangle_lower_bound_exact,
     cotriangles,
-    count_cotriangle_incidences,
-    count_cotriangles_at_vertex,
     cycle_graph,
     disjoint_union,
     helly_threshold,
@@ -28,8 +26,8 @@ from cliquedyn import (
     verify_triangle_sum,
     vertex_cotriangle_cap,
 )
-from cliquedyn.bounds import cotriangle_adjacency_profile
 
+from oracles import cotriangle_adjacent_vertices
 from strategies import graphs
 
 
@@ -113,18 +111,17 @@ def test_threshold_monotone():
 
 
 def test_count_cotriangles_at_vertex_examples():
-    assert count_cotriangles_at_vertex(complete_graph(5), 0) == 0
+    assert cotriangle_adjacency_profile(complete_graph(5))[0] == 0
     two_k33 = disjoint_union([complete_bipartite(3, 3)] * 2)
+    profile = cotriangle_adjacency_profile(two_k33)
     for x in range(12):
-        assert count_cotriangles_at_vertex(two_k33, x) == vertex_cotriangle_cap(12, 3) == 19
-    assert count_cotriangles_at_vertex(cycle_graph(6), 0) == 1
-    with pytest.raises(ValueError):
-        count_cotriangles_at_vertex(complete_graph(3), 5)
+        assert profile[x] == vertex_cotriangle_cap(12, 3) == 19
+    assert cotriangle_adjacency_profile(cycle_graph(6))[0] == 1
 
 
 def test_incidence_count_examples():
-    assert count_cotriangle_incidences(complete_graph(6)) == 0
-    assert count_cotriangle_incidences(cycle_graph(6)) == 6
+    assert sum(cotriangle_adjacency_profile(complete_graph(6))) == 0
+    assert sum(cotriangle_adjacency_profile(cycle_graph(6))) == 6
 
 
 def _profile_oracle(g):
@@ -152,10 +149,9 @@ def test_incidence_double_counting(g):
     by_cotriangle = sum(
         cotriangle_adjacent_vertices(g, t).bit_count() for t in cotriangles(g)
     )
-    assert count_cotriangle_incidences(g) == by_cotriangle
-    assert [count_cotriangles_at_vertex(g, x) for x in range(g.n)] == [
-        _at_vertex_oracle(g, x) for x in range(g.n)
-    ]
+    profile = cotriangle_adjacency_profile(g)
+    assert sum(profile) == by_cotriangle
+    assert profile == [_at_vertex_oracle(g, x) for x in range(g.n)]
 
 
 def test_incidence_double_counting_many_random():
@@ -166,9 +162,10 @@ def test_incidence_double_counting_many_random():
         n = rng.randrange(0, 9)
         pairs = n * (n - 1) // 2
         g = Graph.from_upper_bits(n, rng.getrandbits(pairs) if pairs else 0)
-        assert count_cotriangle_incidences(g) == sum(_profile_oracle(g))
+        profile = cotriangle_adjacency_profile(g)
+        assert sum(profile) == sum(_profile_oracle(g))
         for x in range(n):
-            assert count_cotriangles_at_vertex(g, x) == _at_vertex_oracle(g, x)
+            assert profile[x] == _at_vertex_oracle(g, x)
 
 
 @given(graphs(max_n=10))
@@ -183,7 +180,7 @@ def test_profile_matches_cotriangle_oracle_on_random_regular(k, n):
         profile = cotriangle_adjacency_profile(g)
         assert profile == _profile_oracle(g)
         for x in (0, n // 2, n - 1):
-            assert count_cotriangles_at_vertex(g, x) == _at_vertex_oracle(g, x)
+            assert profile[x] == _at_vertex_oracle(g, x)
         assert max(profile) <= vertex_cotriangle_cap(n, k)
 
 

@@ -20,13 +20,12 @@ from cliquedyn import (
     empty_graph,
     find_coaffination,
     is_coaffination,
-    isomorphic_brute,
     matching_graph,
     octahedron,
     relabel,
 )
-from cliquedyn.canon import automorphisms_brute
 
+from oracles import automorphisms_brute, isomorphic_brute
 from strategies import graphs
 
 

@@ -41,29 +41,29 @@ def naive_maximal_cliques(g: Graph) -> set[int]:
 
 def test_k4_single_clique():
     cl = maximal_cliques(complete_graph(4))
-    assert cl.vertex_sets() == [(0, 1, 2, 3)]
+    assert [tuple(bits(m)) for m in cl] == [(0, 1, 2, 3)]
 
 
 def test_c4_cliques_are_edges():
     cl = maximal_cliques(cycle_graph(4))
-    assert cl.vertex_sets() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert [tuple(bits(m)) for m in cl] == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_o3_has_eight_triangles():
     cl = maximal_cliques(octahedron(3))
     assert len(cl) == 8
-    assert all(m.bit_count() == 3 for m in cl.masks)
+    assert all(m.bit_count() == 3 for m in cl)
 
 
 def test_empty_graph_no_cliques():
     assert len(maximal_cliques(empty_graph(0))) == 0
-    assert maximal_cliques(empty_graph(3)).vertex_sets() == [(0,), (1,), (2,)]
+    assert [tuple(bits(m)) for m in maximal_cliques(empty_graph(3))] == [(0,), (1,), (2,)]
 
 
 def test_deterministic_order():
     g = octahedron(3)
-    assert maximal_cliques(g).masks == maximal_cliques(g).masks
-    sets = maximal_cliques(g).vertex_sets()
+    assert maximal_cliques(g) == maximal_cliques(g)
+    sets = [tuple(bits(m)) for m in maximal_cliques(g)]
     assert sets == sorted(sets)
 
 
@@ -77,13 +77,13 @@ def test_clique_deeper_than_recursion_limit():
     limit = sys.getrecursionlimit()
     n = max(1500, limit + 100)
     cl = maximal_cliques(complete_graph(n))
-    assert cl.masks == ((1 << n) - 1,)
+    assert cl == ((1 << n) - 1,)
     assert sys.getrecursionlimit() == limit
 
 
 @given(graphs())
 def test_matches_naive_oracle(g):
-    assert set(maximal_cliques(g).masks) == naive_maximal_cliques(g)
+    assert set(maximal_cliques(g)) == naive_maximal_cliques(g)
 
 
 def test_matches_naive_oracle_many_random():
@@ -92,7 +92,7 @@ def test_matches_naive_oracle_many_random():
         n = rng.randrange(0, 8)
         pairs = n * (n - 1) // 2
         g = Graph.from_upper_bits(n, rng.getrandbits(pairs) if pairs else 0)
-        assert set(maximal_cliques(g).masks) == naive_maximal_cliques(g)
+        assert set(maximal_cliques(g)) == naive_maximal_cliques(g)
 
 
 def test_constructed_families_match_oracle():
@@ -107,20 +107,20 @@ def test_constructed_families_match_oracle():
         matching_graph(3),
     ]
     for g in family:
-        assert set(maximal_cliques(g).masks) == naive_maximal_cliques(g)
+        assert set(maximal_cliques(g)) == naive_maximal_cliques(g)
 
 
 @given(graphs(min_n=1))
 def test_every_vertex_in_some_clique(g):
     covered = 0
-    for m in maximal_cliques(g).masks:
+    for m in maximal_cliques(g):
         covered |= m
     assert covered == g.full_mask()
 
 
 @given(graphs())
 def test_cliques_complete_and_maximal(g):
-    for m in maximal_cliques(g).masks:
+    for m in maximal_cliques(g):
         vs = list(bits(m))
         for u, v in combinations(vs, 2):
             assert g.has_edge(u, v)
@@ -135,7 +135,7 @@ def test_clique_graph_adjacency_is_intersection(g):
     assert kg.n == len(cl)
     for i in range(kg.n):
         for j in range(i + 1, kg.n):
-            assert kg.has_edge(i, j) == bool(cl.masks[i] & cl.masks[j])
+            assert kg.has_edge(i, j) == bool(cl[i] & cl[j])
 
 
 def test_clique_graph_of_complete_is_k1():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from cliquedyn import (
     Graph,
     bits,
-    common_neighbors,
     complement,
     complete_bipartite,
     complete_graph,
@@ -94,19 +93,6 @@ def test_union_join_associative_exactly():
         [disjoint_union([a, b]), c]
     )
     assert join(a, join(b, c)) == join(join(a, b), c)
-
-
-def test_common_neighbors():
-    k4 = complete_graph(4)
-    assert common_neighbors(k4, 0, 1) == mask_of([2, 3])
-    c5 = cycle_graph(5)
-    assert common_neighbors(c5, 0, 1) == 0
-    k33 = complete_bipartite(3, 3)
-    assert common_neighbors(k33, 0, 1) == mask_of([3, 4, 5])
-    with pytest.raises(ValueError):
-        common_neighbors(k4, 1, 1)
-    with pytest.raises(ValueError):
-        common_neighbors(k4, 0, 7)
 
 
 def test_induced_and_relabel():

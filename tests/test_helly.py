@@ -4,22 +4,18 @@ import pytest
 from hypothesis import given, settings
 
 from cliquedyn import (
+    CliqueLimitError,
     Graph,
-    OracleLimitError,
     check_cotriangle_cover,
     complement,
     complete_bipartite,
     complete_graph,
-    cone_apex,
-    cotriangle_adjacent_vertices,
     cotriangle_count,
     cotriangles,
     cycle_graph,
     disjoint_union,
     empty_graph,
     extended_triangle,
-    helly_brute_oracle,
-    helly_witnesses,
     is_helly,
     mask_of,
     maximal_cliques,
@@ -28,7 +24,9 @@ from cliquedyn import (
     triangle_count,
     triangles,
 )
+from cliquedyn.helly import _two_neighbor_mask
 
+from oracles import cotriangle_adjacent_vertices, helly_brute_oracle, helly_witnesses
 from strategies import graphs
 
 
@@ -82,13 +80,6 @@ def test_extended_triangle_examples():
         extended_triangle(cycle_graph(4), (0, 1, 2))
 
 
-def test_cone_apex():
-    assert cone_apex(complete_graph(1)) == 0
-    star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    assert cone_apex(star) == 0
-    assert cone_apex(octahedron(3)) is None
-
-
 def test_helly_examples():
     assert is_helly(complete_bipartite(3, 3)).is_helly
     assert is_helly(complement(disjoint_union([cycle_graph(3), cycle_graph(4)]))).is_helly
@@ -128,7 +119,7 @@ def test_brute_oracle_examples():
 
 
 def test_brute_oracle_cap():
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(CliqueLimitError):
         helly_brute_oracle(octahedron(5), clique_cap=20)
 
 
@@ -181,7 +172,7 @@ def test_cotriangle_adjacency_duality():
         g = Graph.from_upper_bits(n, rng.getrandbits(pairs))
         co = complement(g)
         for t in cotriangles(g):
-            adj = cotriangle_adjacent_vertices(g, t)
+            adj = _two_neighbor_mask(g, t)
             tm = mask_of(t)
             for x in range(n):
                 if (tm >> x) & 1:

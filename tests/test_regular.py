@@ -20,7 +20,7 @@ from cliquedyn import (
     two_switch,
 )
 from cliquedyn import canon, encode, regular
-from cliquedyn.canon import automorphism_generators, automorphisms_brute, canonical_graph
+from cliquedyn.canon import automorphism_generators, canonical_graph
 from cliquedyn.regular import (
     RegularGenSpec,
     _cubic_classes,
@@ -32,9 +32,9 @@ from cliquedyn.regular import (
     _sorted_canonical,
     _transposition_raises,
     enumerate_regular,
-    enumerate_regular_brute,
 )
 
+from oracles import automorphisms_brute, enumerate_regular_brute
 from strategies import graphs
 
 
