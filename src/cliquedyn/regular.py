@@ -16,8 +16,9 @@ Exhaustive enumeration dispatches by degree:
     closure is cross-checked against the independent brute-force
     enumerator and the all-pairs expansion in the test suite,
   * other degrees use row-by-row backtracking that drops a partial
-    graph once swapping two of its placed vertices would give a larger
-    upper-triangle string, so few labeled leaves reach canonization.
+    graph once a swap of two vertices that its placed rows already
+    decide would give a larger upper-triangle string, so few labeled
+    leaves reach canonization and no degree feasibility test is needed.
 
 All paths deduplicate through canonical forms and emit canonically
 labeled graphs sorted by their graph6 string, so output order is
@@ -471,67 +472,44 @@ def _transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
 
 
 def _pruned_labeled_regular(n: int, k: int):
-    """Labeled k-regular graphs whose labeling no transposition improves.
+    """Labeled k-regular graphs whose labeling no decided transposition improves.
 
-    Once row v is placed, the partial graph is dropped if swapping some
-    a < v with v gives a larger upper-triangle string (rows 0..v never
-    change afterwards, so the test is final), or if `feasible` finds the
-    remaining degrees unfillable. The lexicographically maximal labeling
-    of every class passes every transposition, and has N(0) = {1..k},
-    which is fixed up front; so every class keeps a representative, and
-    canonical deduplication downstream yields the full census.
+    Once row v is placed, rows 0..v never change, so two kinds of swap
+    are decided: a < v with v, on their full rows, and two unplaced
+    neighbours w, w + 1, on their columns in rows 0..v, which are all
+    that an unplaced row holds so far. For the latter the lowest column
+    c <= v where those differ fixes the first change of the string, in
+    row c, whatever the later rows hold; adjacent pairs suffice because
+    lexicographic order is transitive. The partial graph is dropped once
+    a decided swap gives a larger upper-triangle string. The
+    lexicographically maximal labeling of every class passes every
+    transposition, so every class keeps a representative (at v = 0 only
+    N(0) = {1..k} survives), and canonical deduplication downstream
+    yields the full census.
     """
     rows = [0] * n
-    deg = [0] * n
     out: list[Graph] = []
-
-    def feasible(v: int) -> bool:
-        residual = [k - deg[w] for w in range(v + 1, n)]
-        if sum(residual) % 2:
-            return False
-        open_idx = [w for w in range(v + 1, n) if deg[w] < k]
-        for w in open_idx:
-            free = sum(
-                1
-                for u in open_idx
-                if u != w and not (rows[w] >> u) & 1
-            )
-            if k - deg[w] > free:
-                return False
-        return True
 
     def place(v: int):
         if v == n:
             out.append(Graph(n, rows.copy()))
             return
-        need = k - deg[v]
-        if need < 0:
-            return
-        avail = [w for w in range(v + 1, n) if deg[w] < k and not (rows[v] >> w) & 1]
-        if need > len(avail):
-            return
-        for combo in combinations(avail, need):
+        avail = [w for w in range(v + 1, n) if rows[w].bit_count() < k]
+        for combo in combinations(avail, k - rows[v].bit_count()):
             for w in combo:
                 rows[v] |= 1 << w
                 rows[w] |= 1 << v
-                deg[v] += 1
-                deg[w] += 1
             rv = rows[v]
             if not any(
                 _transposition_raises(rows[a], rv, a, v) for a in range(v)
-            ) and feasible(v):
+            ) and not any(
+                _transposition_raises(rows[w], rows[w + 1], w, w + 1)
+                for w in range(v + 1, n - 1)
+            ):
                 place(v + 1)
             for w in combo:
                 rows[v] &= ~(1 << w)
                 rows[w] &= ~(1 << v)
-                deg[v] -= 1
-                deg[w] -= 1
 
-    # fix N(0) = {1..k}
-    for w in range(1, k + 1):
-        rows[0] |= 1 << w
-        rows[w] |= 1
-        deg[w] = 1
-    deg[0] = k
-    place(1)
+    place(0)
     return out

@@ -23,7 +23,6 @@ from cliquedyn import (
     connected_components,
     cycle_graph,
     disjoint_union,
-    divergence_certificate,
     empty_graph,
     helly_threshold,
     induced,
@@ -39,7 +38,6 @@ from cliquedyn import (
 )
 from cliquedyn.behavior import OctahedronCertificate
 from cliquedyn.bounds import cotriangle_adjacency_profile
-from cliquedyn.canon import canonical_graph
 from cliquedyn.graphs import Graph, bits
 from cliquedyn.regular import RegularGenSpec, enumerate_regular
 

@@ -122,11 +122,12 @@ def test_matches_brute_force_slow_cases(k, n, brute_regular_forms):
     assert canon_set(classes(k, n)) == brute_regular_forms(k, n)
 
 
-def test_cubic_expansion_matches_generic_dfs_at_n10():
+@pytest.mark.parametrize("n", [10, pytest.param(12, marks=pytest.mark.slow)])
+def test_cubic_expansion_matches_generic_dfs(n):
     # two independent exhaustive routes must agree
-    via_dfs = _sorted_canonical(_pruned_labeled_regular(10, 3))
-    assert list(via_dfs) == classes(3, 10)
-    assert len(via_dfs) == 21
+    via_dfs = _sorted_canonical(_pruned_labeled_regular(n, 3))
+    assert list(via_dfs) == classes(3, n)
+    assert len(via_dfs) == {10: 21, 12: 94}[n]
 
 
 def _has_reducible_edge(g):
@@ -555,6 +556,16 @@ def test_transposition_test_matches_string_comparison(g):
         swap[a], swap[b] = b, a
         after = _upper_string(relabel(g, swap))
         assert _transposition_raises(g.rows[a], g.rows[b], a, b) == (after > before)
+    # with rows 0..v placed, the placed columns of two later neighbours
+    # decide their swap whenever they differ
+    for v in range(g.n):
+        placed = (2 << v) - 1
+        for w in range(v + 1, g.n - 1):
+            rw, rx = g.rows[w] & placed, g.rows[w + 1] & placed
+            if rw != rx:
+                assert _transposition_raises(rw, rx, w, w + 1) == _transposition_raises(
+                    g.rows[w], g.rows[w + 1], w, w + 1
+                )
 
 
 def _maximal_labeling(g):
@@ -598,6 +609,8 @@ def test_maximal_labeling_survives_the_generic_pruning():
     ],
 )
 def test_generic_route_leaf_count_and_class_list_are_pinned(n, k, leaves, digest):
-    assert len(_pruned_labeled_regular(n, k)) == leaves
+    labeled = _pruned_labeled_regular(n, k)
+    assert len(labeled) == leaves
+    assert all(g.rows[0] == (1 << (k + 1)) - 2 for g in labeled)
     listing = "\n".join(sorted(encode(g) for g in classes(k, n)))
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
