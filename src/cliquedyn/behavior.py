@@ -40,6 +40,7 @@ from .graphs import (
     induced,
     is_connected,
     octahedron,
+    relabel,
 )
 
 
@@ -220,14 +221,8 @@ def divergence_certificate(g: Graph) -> Certificate | None:
 
 
 def _maps_onto(g: Graph, target: Graph, mapping: tuple[int, ...]) -> bool:
-    """Check mapping is an edge-by-edge isomorphism from g onto target."""
-    if g.n != target.n or sorted(mapping) != list(range(g.n)):
-        return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) != target.has_edge(mapping[u], mapping[v]):
-                return False
-    return True
+    """Check mapping is an isomorphism from g onto target."""
+    return g.n == target.n and sorted(mapping) == list(range(g.n)) and relabel(g, mapping) == target
 
 
 def _is_coaffinable_join(g: Graph, blocks, coaffinations) -> bool:

@@ -18,7 +18,7 @@ at least one choice from every Aut(g)-orbit.
 from __future__ import annotations
 
 from . import graph6
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, mask_of, permuted_rows, relabel
 
 # search-node budget of one find_coaffination call
 COAFF_NODE_CAP = 200_000
@@ -65,24 +65,6 @@ def _first_target_cell(cells: list[int]) -> int:
             if size == 2:
                 break
     return best
-
-
-def _relabeled_rows(rows: tuple[int, ...], label: list[int]) -> list[int]:
-    """Adjacency rows after sending vertex label[i] to position i."""
-    n = len(label)
-    inv = [0] * n
-    for pos, v in enumerate(label):
-        inv[v] = pos
-    out = [0] * n
-    for v in range(n):
-        r = rows[v]
-        nr = 0
-        while r:
-            low = r & -r
-            nr |= 1 << inv[low.bit_length() - 1]
-            r ^= low
-        out[inv[v]] = nr
-    return out
 
 
 class _CanonSearch:
@@ -152,7 +134,10 @@ class _CanonSearch:
     def _leaf(self, cells: list[int], path: tuple[int, ...]) -> int:
         """Record a leaf against the first and best leaves; return the resume depth."""
         label = [cell.bit_length() - 1 for cell in cells]
-        rel = tuple(_relabeled_rows(self.rows, label))
+        inv = [0] * self.n
+        for pos, v in enumerate(label):
+            inv[v] = pos
+        rel = tuple(permuted_rows(self.rows, inv))
         if self.first is None:
             self.first = self.best = (rel, label, path)
             return len(path)
@@ -222,11 +207,7 @@ def is_coaffination(g: Graph, perm: tuple[int, ...] | list[int]) -> bool:
         img = perm[v]
         if img == v or (g.rows[v] >> img) & 1:
             return False
-    for u in range(g.n):
-        for v in bits(g.rows[u]):
-            if not (g.rows[perm[u]] >> perm[v]) & 1:
-                return False
-    return True
+    return relabel(g, perm) == g
 
 
 def find_coaffination(g: Graph) -> tuple[int, ...] | None:

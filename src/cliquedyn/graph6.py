@@ -110,6 +110,7 @@ def read_graph6_lines(text: str) -> list[Graph]:
 
 
 def read_edge_list(text: str) -> Graph:
+    """Parse an "n m" header line and then m distinct edges "u v", one per line."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -120,11 +121,17 @@ def read_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise ValueError(f"repeated edge {pair}")
+        seen.add(pair)
+        edges.append((u, v))
     g = Graph.from_edges(n, edges)
     g.validate()
     return g

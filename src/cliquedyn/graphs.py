@@ -205,17 +205,24 @@ def induced(g: Graph, vertices: int | Iterable[int]) -> Graph:
     return Graph(len(keep), rows)
 
 
+def permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """Adjacency rows after each vertex v is renamed perm[v]."""
+    out = [0] * len(rows)
+    for v, r in enumerate(rows):
+        nr = 0
+        while r:
+            low = r & -r
+            nr |= 1 << perm[low.bit_length() - 1]
+            r ^= low
+        out[perm[v]] = nr
+    return out
+
+
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply vertex permutation: vertex v of g becomes perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("relabeling must be a permutation of 0..n-1")
-    rows = [0] * g.n
-    for v in range(g.n):
-        new_row = 0
-        for w in bits(g.rows[v]):
-            new_row |= 1 << perm[w]
-        rows[perm[v]] = new_row
-    return Graph(g.n, rows)
+    return Graph(g.n, permuted_rows(g.rows, perm))
 
 
 def connected_components(g: Graph) -> list[int]:

@@ -46,7 +46,7 @@ from .graphs import (
 )
 
 CUBIC_CEILING_DEFAULT = 14
-GENERIC_CEILING_DEFAULT = 10
+GENERIC_CEILING_DEFAULT = 11
 CUBIC_CEILING_MAX = 20
 
 

@@ -150,6 +150,16 @@ def test_tampered_certificates_fail_validation():
     moved = (first[:-1], second + first[-1:], *rest)
     assert not certificate_is_valid(g, ThreeSummandsCertificate(moved, cert.coaffinations))
 
+    # each summand is the complement of C6; swapping the ends of the cycle edges
+    # 01, 23 and 45 moves every vertex off its closed neighborhood in the summand
+    # but sends the cycle edge 12 to the non-edge 03, so it is no automorphism
+    g = complement(disjoint_union([cycle_graph(6)] * 3))
+    cert = divergence_certificate(g)
+    assert isinstance(cert, ThreeSummandsCertificate) and cert.blocks[0] == tuple(range(6))
+    assert certificate_is_valid(g, cert)
+    swapped = ((1, 0, 3, 2, 5, 4),) + cert.coaffinations[1:]
+    assert not certificate_is_valid(g, ThreeSummandsCertificate(cert.blocks, swapped))
+
     g = complement(disjoint_union([cycle_graph(3), cycle_graph(5)]))
     cert = divergence_certificate(g)
     assert certificate_is_valid(g, cert)

@@ -131,6 +131,18 @@ def test_empty_graph_coaffination_is_none():
     assert sigma is not None and is_coaffination(empty_graph(4), sigma)
 
 
+def test_is_coaffination_checks_both_halves():
+    # the same swap of the two pairs is a coaffination of 2K2 but not of P3 + K1,
+    # where it moves every vertex off its closed neighborhood and misses both edges
+    perm = (2, 3, 0, 1)
+    assert is_coaffination(matching_graph(2), perm)
+    assert not is_coaffination(Graph.from_edges(4, [(0, 1), (1, 2)]), perm)
+    # automorphisms that are not coaffinations: a C4 rotation sends 0 to its
+    # neighbor 1, and a C5 reflection fixes 0
+    assert not is_coaffination(cycle_graph(4), (1, 2, 3, 0))
+    assert not is_coaffination(cycle_graph(5), (0, 4, 3, 2, 1))
+
+
 @settings(max_examples=40)
 @given(graphs(min_n=1, max_n=6))
 def test_coaffination_agrees_with_brute_force(g):

@@ -55,9 +55,13 @@ def test_analyze_graph6_string(capsys):
     assert out["order"] == 4 and out["clique_count"] == 1
 
 
-def test_analyze_bad_input_exits_2(capsys):
+def test_analyze_bad_input_exits_2(tmp_path, capsys):
     assert main(["analyze", "cycle nope"]) == 2
     assert main(["analyze", "!!notgraph6!!"]) == 2
+    el = tmp_path / "g.edges"
+    el.write_text("3 2\n0 1\n1 0\n")
+    assert main(["analyze", str(el)]) == 2
+    assert "repeated edge (0, 1)" in capsys.readouterr().err
 
 
 def test_analyze_resource_limit_exits_3(capsys):

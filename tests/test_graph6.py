@@ -97,3 +97,9 @@ def test_edge_list_rejects_bad_header():
         read_edge_list("5\n0 1\n")
     with pytest.raises(ValueError):
         read_edge_list("3 2\n0 1\n")
+
+
+def test_edge_list_rejects_repeated_edge():
+    # the header promises two edges; the second line repeats the first
+    with pytest.raises(ValueError, match=r"^repeated edge \(0, 1\)$"):
+        read_edge_list("3 2\n0 1\n1 0\n")

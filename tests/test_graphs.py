@@ -21,7 +21,7 @@ from cliquedyn import (
     relabel,
 )
 
-from strategies import graphs
+from strategies import graphs, permutations_of
 
 
 def test_cycle_small():
@@ -103,6 +103,16 @@ def test_induced_and_relabel():
     assert set(back.degrees()) == {2}
     with pytest.raises(ValueError):
         relabel(c5, [0, 0, 1, 2, 3])
+
+
+@given(graphs(), st.data())
+def test_relabel_moves_each_pair_with_its_endpoints(g, data):
+    p = data.draw(permutations_of(g.n))
+    h = relabel(g, p)
+    assert h.edge_count() == g.edge_count()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert g.has_edge(u, v) == h.has_edge(p[u], p[v])
 
 
 def test_induced_full_mask_returns_the_graph():

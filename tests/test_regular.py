@@ -97,6 +97,11 @@ def test_ceiling_is_checked_once_per_request():
         next(late)
     with pytest.raises(ValueError, match=r"^exhaustive 4-regular enumeration capped at n=9 \(requested 10\)$"):
         next(enumerate_regular(RegularGenSpec(k=5, n=10), ceiling=9))
+    with pytest.raises(ValueError, match=r"^exhaustive 4-regular enumeration capped at n=11 \(requested 12\)$"):
+        next(enumerate_regular(RegularGenSpec(k=4, n=12)))
+    # an explicit cubic ceiling is clamped to CUBIC_CEILING_MAX
+    with pytest.raises(ValueError, match=r"^exhaustive cubic enumeration capped at n=20 \(requested 22\)$"):
+        next(enumerate_regular(RegularGenSpec(k=3, n=22), ceiling=30))
     # K_n comes through the complement route, as every k > (n - 1) / 2 does
     for n in list(range(1, 9)) + [16, 30]:
         assert list(enumerate_regular(RegularGenSpec(k=n - 1, n=n))) == [complete_graph(n)]
