@@ -70,8 +70,11 @@ def vertex_cotriangle_cap(n: int, k: int) -> int:
 
     C(k,2)*(n-2k) + C(k,3); attained exactly at vertices whose component
     is K_{k,k}. Below n = 4k the bound is not asserted and the call is
-    rejected.
+    rejected; so is k = 0, where every vertex meets the cap 0 but its
+    component is K1, not K_{0,0}.
     """
+    if k < 1:
+        raise ValueError(f"per-vertex cotriangle cap defined for k >= 1, got {k}")
     if n < 4 * k:
         raise ValueError(f"per-vertex cotriangle cap requires n >= 4k, got n={n}, k={k}")
     return comb(k, 2) * (n - 2 * k) + comb(k, 3)

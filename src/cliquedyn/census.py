@@ -86,7 +86,7 @@ def _record_for_graph(task: tuple) -> dict:
         rec["triangle_sum_ok"] = (
             counts["triangles"] + counts["cotriangles"] == triangle_sum_rhs(g.n, k)
         )
-    if "cotriangle-bound" in checks and g.n >= 4 * k:
+    if "cotriangle-bound" in checks and k >= 1 and g.n >= 4 * k:
         cap = vertex_cotriangle_cap(g.n, k)
         profile = cotriangle_adjacency_profile(g)
         rec["cotriangle_bound_ok"] = all(c <= cap for c in profile)

@@ -254,12 +254,12 @@ def cmd_bound(args) -> int:
 
 def cmd_gen(args) -> int:
     graphs = enumerate_regular(_spec_from_args(args, args.count), ceiling=args.ceiling)
-    text = "\n".join(graph6.encode(g) for g in graphs)
+    text = "".join(graph6.encode(g) + "\n" for g in graphs)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

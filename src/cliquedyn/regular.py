@@ -6,11 +6,11 @@ Exhaustive enumeration dispatches by degree:
   * k = 2 graphs are disjoint unions of cycles, one class per partition
     of n into parts >= 3,
   * k > (n-1)/2, k = n-1 included, is enumerated through complements,
-  * k = 3 uses an expansion closure: every cubic graph on n vertices
-    either arises from one on n-2 vertices by subdividing two distinct
-    edges and joining the new vertices, or belongs to an explicitly
-    constructible irreducible family (diamond necklaces and diamond/
-    connector assemblies) or is a disjoint union of smaller components.
+  * k = 3 uses an expansion closure: every cubic graph on n >= 8
+    vertices either arises from one on n-2 vertices by subdividing two
+    distinct edges and joining the new vertices, or has a connected
+    irreducible component I (K4, diamond necklaces and diamond/connector
+    assemblies), being I itself or I beside any cubic class on the rest.
     Only one edge pair per orbit of the parent's automorphisms is
     inserted, since automorphic pairs give isomorphic children. The
     closure is cross-checked against the independent brute-force
@@ -30,14 +30,13 @@ import random
 import warnings
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 
 from . import graph6
 from .canon import automorphism_generators, canonical_graph
 from .graphs import (
     Graph,
     complement,
-    complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -279,7 +278,22 @@ def _regular_classes(k: int, n: int) -> tuple[Graph, ...]:
             for part in _partitions_min_part(n, 3)
         )
     if k == 3:
-        return _cubic_classes(n)
+        # a cubic graph is an edge insertion into a class on n - 2 vertices,
+        # a connected irreducible I beside any class, or such an I itself
+        if n % 2:
+            return ()
+        candidates = [
+            _edge_insert(g, e1, e2)
+            for g in _regular_classes(3, n - 2)
+            for e1, e2 in _edge_pair_orbit_representatives(g)
+        ]
+        candidates += [
+            disjoint_union([i, r])
+            for m in range(4, n - 3, 2)
+            for i in _irreducible_cubic_connected(m)
+            for r in _regular_classes(3, n - m)
+        ]
+        return _sorted_canonical(candidates + _irreducible_cubic_connected(n))
     return _sorted_canonical(_pruned_labeled_regular(n, k))
 
 
@@ -376,15 +390,17 @@ def _tip_partitions(tips: list[int], n_pairs: int, n_triples: int):
 
 
 def _irreducible_cubic_connected(n: int) -> list[Graph]:
-    """Connected cubic graphs on n >= 6 vertices with no reducible edge.
+    """Connected cubic graphs on n >= 4 vertices with no reducible edge.
 
     These are assemblies of vertex-disjoint diamonds whose tips are
     matched up pairwise or attached in triples to connector vertices.
     Every edge of such a graph is blocked for the 2-edge reduction, and
     conversely a reduction-free connected cubic graph has this shape.
+    At n = 4 joining the diamond's tips gives K4; above that such an edge
+    closes off a K4 component, which the connectivity test drops.
     """
     out: list[Graph] = []
-    if n < 8 or n % 2:
+    if n < 4 or n % 2:
         return out
     for d in range(1, n // 4 + 1):
         c = n - 4 * d
@@ -396,63 +412,17 @@ def _irreducible_cubic_connected(n: int) -> list[Graph]:
         for blocks in _tip_partitions(tips, p, c):
             edges = list(edges_base)
             extra = 0
-            ok = True
             for block in blocks:
                 if len(block) == 2:
-                    t1, t2 = block
-                    if t1 // 4 == t2 // 4:
-                        ok = False  # same-diamond tip edge closes a K4 component
-                        break
-                    edges.append((t1, t2))
+                    edges.append(block)
                 else:
                     v = 4 * d + extra
                     extra += 1
                     edges.extend((v, t) for t in block)
-            if not ok:
-                continue
             g = Graph.from_edges(4 * d + extra, edges)
             if is_connected(g):
                 out.append(g)
     return out
-
-
-@lru_cache(maxsize=None)
-def _connected_cubic_classes(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in _cubic_classes(n) if is_connected(g))
-
-
-@lru_cache(maxsize=None)
-def _cubic_classes(n: int) -> tuple[Graph, ...]:
-    """Cubic classes on n vertices, canonical and sorted by graph6.
-
-    Candidates are one edge insertion per orbit of edge pairs of each
-    class on n - 2 vertices, the disjoint unions of smaller connected
-    classes, and the irreducible family; `_sorted_canonical` then keeps
-    one graph per class.
-    """
-    if n < 4 or n % 2:
-        return ()
-    if n == 4:
-        return (canonical_graph(complete_graph(4)),)
-    candidates: list[Graph] = []
-    for g in _cubic_classes(n - 2):
-        for e1, e2 in _edge_pair_orbit_representatives(g):
-            candidates.append(_edge_insert(g, e1, e2))
-    for part in _partitions_min_part(n, 4):
-        if len(part) < 2 or any(p % 2 for p in part):
-            continue
-        sizes: dict[int, int] = {}
-        for p in part:
-            sizes[p] = sizes.get(p, 0) + 1
-        pools = [
-            list(combinations_with_replacement(_connected_cubic_classes(s), mult))
-            for s, mult in sorted(sizes.items())
-        ]
-        for choice in product(*pools):
-            parts = [g for group in choice for g in group]
-            candidates.append(disjoint_union(parts))
-    candidates.extend(_irreducible_cubic_connected(n))
-    return _sorted_canonical(candidates)
 
 
 # -- generic degrees: pruned row-by-row backtracking -------------------------

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The heavyweight artifacts (exhaustive cubic censuses) are shared
 module-scoped fixtures.
 """
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from cliquedyn import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    encode,
     helly_threshold,
     induced,
     is_connected,
@@ -120,6 +122,10 @@ def test_criterion_4_cubic_bound_tightness(cubic_12, cubic_14, brute_regular_for
 
     connected_14 = sum(1 for g in cubic_14 if is_connected(g))
     assert connected_14 == 509, f"connected cubic count at n=14 is {connected_14}"
+    listing_14 = "\n".join(sorted(encode(g) for g in cubic_14))
+    assert hashlib.sha256(listing_14.encode()).hexdigest() == (
+        "ebe779f7e3fdd0cbe23f401d87b5ea233fc5470327a142e643af13bd5442550f"
+    ), "cubic class list at n=14 changed"
 
     helly_12 = [g for g in cubic_12 if is_helly(complement(g)).is_helly]
     assert len(helly_12) >= 1

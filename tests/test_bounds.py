@@ -80,6 +80,8 @@ def test_vertex_cotriangle_cap_values():
     assert vertex_cotriangle_cap(4 * k, k) == comb(k, 2) * 2 * k + comb(k, 3)
     with pytest.raises(ValueError):
         vertex_cotriangle_cap(11, 3)
+    with pytest.raises(ValueError, match="k >= 1"):
+        vertex_cotriangle_cap(5, 0)
 
 
 def test_threshold_poly_values():

@@ -101,6 +101,17 @@ def test_cap_equality_reads_only_components_holding_an_equality_vertex():
         assert rec["cap_equality_components_ok"]
 
 
+def test_zero_regular_census_skips_the_cotriangle_bound():
+    # every vertex of E_n meets the cap 0, but its component is K1: the
+    # K_{k,k} characterization needs k >= 1, so no bound keys and no exemplar
+    rep = run_census(RegularGenSpec(k=0, n=5))
+    (rec,) = rep.records
+    assert not {"cotriangle_bound_ok", "cap_equality_vertices", "cap_equality_components_ok"} & set(rec)
+    assert "cap-equality" not in rep.exemplars
+    assert rep.totals["cap_equality_graphs"] == 0
+    assert rep.totals["cotriangle_bound_failures"] == 0
+
+
 @pytest.mark.parametrize("limits", [TIGHT, Limits(3, 5, 12)])
 def test_complement_cliques_match_enumeration_and_trace(limits):
     rep = run_census(RegularGenSpec(k=3, n=8), checks=ALL_CHECKS, limits=limits)

@@ -144,6 +144,15 @@ def test_gen_cli(tmp_path, capsys):
     assert main(["gen", "-k", "4", "-n", "40"]) == 2  # ceiling exceeded
 
 
+def test_gen_cli_without_graphs_writes_nothing(tmp_path, capsys):
+    out_path = tmp_path / "none.g6"
+    with pytest.warns(UserWarning, match="no 3-regular graphs on 7 vertices"):
+        assert main(["gen", "-k", "3", "-n", "7", "--out", str(out_path)]) == 0
+        assert main(["gen", "-k", "3", "-n", "7"]) == 0
+    assert out_path.read_text() == ""
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

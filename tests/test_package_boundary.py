@@ -17,6 +17,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 DELETED = (
     "CliqueList",
     "OracleLimitError",
+    "_connected_cubic_classes",
+    "_cubic_classes",
     "common_neighbors",
     "cone_apex",
     "count_cotriangle_incidences",

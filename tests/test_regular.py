@@ -23,12 +23,12 @@ from cliquedyn import canon, encode, regular
 from cliquedyn.canon import automorphism_generators, canonical_graph
 from cliquedyn.regular import (
     RegularGenSpec,
-    _cubic_classes,
     _edge_insert,
     _edge_pair_orbit_representatives,
     _irreducible_cubic_connected,
     _partitions_min_part,
     _pruned_labeled_regular,
+    _regular_classes,
     _sorted_canonical,
     _transposition_raises,
     enumerate_regular,
@@ -151,7 +151,7 @@ def _has_reducible_edge(g):
     return False
 
 
-@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_irreducible_family_matches_census(n):
     # the explicitly constructed irreducible family must be exactly the
     # connected classes without a reducible edge
@@ -344,12 +344,7 @@ def test_inline_index_draw_matches_randrange():
 # -- orbit-pruned cubic expansion --------------------------------------------
 
 def _clear_regular_caches():
-    for cached in (
-        regular._cubic_classes,
-        regular._connected_cubic_classes,
-        regular._regular_classes,
-    ):
-        cached.cache_clear()
+    regular._regular_classes.cache_clear()
 
 
 @pytest.fixture
@@ -361,7 +356,12 @@ def cold_regular_caches():
 
 @lru_cache(maxsize=None)
 def _cubic_classes_all_pairs(n):
-    """The expansion closure inserting every unordered edge pair (oracle)."""
+    """The expansion closure inserting every unordered edge pair (oracle).
+
+    Its unions are every multiset of connected classes over each partition
+    of n into even parts >= 4, a rule independent of the library's
+    irreducible-component-first unions.
+    """
     if n < 4 or n % 2:
         return ()
     if n == 4:
@@ -394,7 +394,7 @@ def _cubic_classes_all_pairs(n):
     "n", [6, 8, 10, pytest.param(12, marks=pytest.mark.slow)]
 )
 def test_orbit_pruned_cubic_classes_match_all_pairs_oracle(n, cold_regular_caches):
-    assert _cubic_classes(n) == _cubic_classes_all_pairs(n)
+    assert _regular_classes(3, n) == _cubic_classes_all_pairs(n)
 
 
 def _edge_pair_orbits(g):
@@ -437,7 +437,7 @@ def test_orbit_representatives_meet_every_edge_pair_orbit(g):
 def test_orbit_representatives_of_small_cubic_classes_are_one_per_orbit():
     checked = 0
     for n in (4, 6, 8):
-        for g in _cubic_classes(n):
+        for g in _regular_classes(3, n):
             kept = _check_orbit_representatives(g)
             assert len(kept) == len(set(kept))
             checked += 1
@@ -449,12 +449,12 @@ def test_truncated_automorphism_group_keeps_every_cubic_class(
     cap, cold_regular_caches, monkeypatch
 ):
     # keep only the first `cap` generators, so orbits merge along a subgroup of Aut(g)
-    full = _cubic_classes(10)
+    full = _regular_classes(3, 10)
     _clear_regular_caches()
     monkeypatch.setattr(
         regular, "automorphism_generators", lambda g: canon.automorphism_generators(g)[:cap]
     )
-    assert _cubic_classes(10) == full
+    assert _regular_classes(3, 10) == full
 
 
 @pytest.mark.parametrize(
@@ -465,7 +465,7 @@ def test_truncated_automorphism_group_keeps_every_cubic_class(
     ],
 )
 def test_cubic_class_list_digest_is_pinned(n, digest):
-    listing = "\n".join(sorted(encode(g) for g in _cubic_classes(n)))
+    listing = "\n".join(sorted(encode(g) for g in _regular_classes(3, n)))
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
 
