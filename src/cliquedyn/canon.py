@@ -12,8 +12,8 @@ best relabeling; two graphs are isomorphic iff their forms are equal.
 
 `automorphism_generators` exposes the automorphisms that one search
 records. They generate a subgroup of Aut(g), which suffices for orbit
-pruning by callers: merging choices along any subgroup of Aut(g) keeps
-at least one choice from every Aut(g)-orbit.
+pruning by callers through `orbit_closure`: merging choices along any
+subgroup of Aut(g) keeps at least one choice from every Aut(g)-orbit.
 """
 from __future__ import annotations
 
@@ -67,6 +67,22 @@ def _first_target_cell(cells: list[int]) -> int:
     return best
 
 
+def orbit_closure(seed: list[int], gens: list[tuple[int, ...]]) -> set[int]:
+    """The points reachable from `seed` under the permutations `gens`."""
+    out = set(seed)
+    if not gens:
+        return out
+    frontier = list(seed)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = g[v]
+            if w not in out:
+                out.add(w)
+                frontier.append(w)
+    return out
+
+
 class _CanonSearch:
     def __init__(self, g: Graph):
         self.rows = g.rows
@@ -103,11 +119,11 @@ class _CanonSearch:
                 applicable = [
                     g for g in self.generators if all(g[p] == p for p in prefix)
                 ]
-                closure = self._orbit_closure(explored, applicable)
+                closure = orbit_closure(explored, applicable)
             if v in closure:
                 continue
             explored.append(v)
-            closure |= self._orbit_closure([v], applicable)
+            closure |= orbit_closure([v], applicable)
             rest = cell & ~(1 << v)
             new_cells = cells[:tgt] + [1 << v, rest] + cells[tgt + 1 :]
             refined = _refine(self.rows, new_cells, [1 << v, rest])
@@ -115,21 +131,6 @@ class _CanonSearch:
             if resume < len(prefix):
                 return resume
         return len(prefix)
-
-    @staticmethod
-    def _orbit_closure(seed: list[int], gens: list[tuple[int, ...]]) -> set[int]:
-        out = set(seed)
-        if not gens:
-            return out
-        frontier = list(seed)
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                w = g[v]
-                if w not in out:
-                    out.add(w)
-                    frontier.append(w)
-        return out
 
     def _leaf(self, cells: list[int], path: tuple[int, ...]) -> int:
         """Record a leaf against the first and best leaves; return the resume depth."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import graph6
@@ -144,6 +143,8 @@ def run_census(
     graphs = list(enumerate_regular(spec, ceiling=ceiling))
     tasks = [(g, spec.k, checks, limits) for g in graphs]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_record_for_graph, tasks, chunksize=8))
     else:

@@ -236,7 +236,7 @@ def cmd_search(args) -> int:
         ceiling=args.ceiling,
     )
     doc = {"k": args.k, "n": args.n, "target": args.target, "hits": hits}
-    _emit(doc, args, f"{len(hits)} hit(s)\n" + "\n".join(h["graph6"] for h in hits))
+    _emit(doc, args, "\n".join([f"{len(hits)} hit(s)"] + [h["graph6"] for h in hits]))
     return EXIT_OK if hits else EXIT_NO_HIT
 
 

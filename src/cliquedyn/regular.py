@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import graph6
-from .canon import automorphism_generators, canonical_graph
+from .canon import automorphism_generators, canonical_graph, orbit_closure
 from .graphs import (
     Graph,
     complement,
@@ -96,16 +96,9 @@ def two_switch(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
         raise ValueError(f"vertices {a} and {u} are already adjacent")
     if g.has_edge(b, v):
         raise ValueError(f"vertices {b} and {v} are already adjacent")
-    rows = list(g.rows)
-    rows[a] &= ~(1 << b)
-    rows[b] &= ~(1 << a)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    rows[a] |= 1 << u
-    rows[u] |= 1 << a
-    rows[b] |= 1 << v
-    rows[v] |= 1 << b
-    return Graph(g.n, rows)
+    drop = {tuple(sorted(e1)), tuple(sorted(e2))}
+    kept = [e for e in g.edges() if e not in drop]
+    return Graph.from_edges(g.n, kept + [(a, u), (b, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +131,6 @@ def random_regular(k: int, n: int, seed: int = 0) -> Graph:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
-    if k == 0:
-        return empty_graph(n)
     edges = None
     for _ in range(_PAIRING_TRIES):
         edges = _try_pairing(rng, n, k)
@@ -165,19 +156,10 @@ def _try_pairing(rng: random.Random, n: int, k: int) -> set[tuple[int, int]] | N
             else:
                 conflicted[s1] = conflicted.get(s1, 0) + 1
                 conflicted[s2] = conflicted.get(s2, 0) + 1
-        if conflicted and not _pairing_can_continue(edges, conflicted):
+        if conflicted and all(p in edges for p in combinations(sorted(conflicted), 2)):
             return None
         stubs = [v for v, c in conflicted.items() for _ in range(c)]
     return edges
-
-
-def _pairing_can_continue(edges, conflicted) -> bool:
-    nodes = sorted(conflicted)
-    for i, s1 in enumerate(nodes):
-        for s2 in nodes[i + 1 :]:
-            if (s1, s2) not in edges:
-                return True
-    return False
 
 
 def _burn_in(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -338,30 +320,28 @@ def _edge_pair_orbit_representatives(
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """One unordered pair of distinct edges per orbit of the recorded automorphisms.
 
-    Pairs are merged by union-find, one pass per generator from
-    `automorphism_generators`. Each root is the first pair of its orbit
-    in `combinations` order. Automorphic pairs give isomorphic edge
-    insertions, and the generators span a subgroup of Aut(g), so every
-    insertion class keeps a representative.
+    Each generator from `automorphism_generators` becomes a permutation
+    of the pair indices, in `combinations` order. One scan in that order
+    keeps each pair not yet seen and marks its `orbit_closure`, so the
+    pair kept is the first of its orbit. Automorphic pairs give
+    isomorphic edge insertions, and the generators span a subgroup of
+    Aut(g), so every insertion class keeps a representative.
     """
     edges = list(g.edges())
     index = {e: i for i, e in enumerate(edges)}
-    parent = {p: p for p in combinations(range(len(edges)), 2)}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    pairs = list(combinations(range(len(edges)), 2))
+    position = {p: x for x, p in enumerate(pairs)}
+    gens = []
     for sigma in automorphism_generators(g):
         image = [index[tuple(sorted((sigma[u], sigma[v])))] for u, v in edges]
-        for i, j in parent:
-            a, b = sorted((image[i], image[j]))
-            r, s = find((i, j)), find((a, b))
-            if r != s:
-                parent[max(r, s)] = min(r, s)
-    return [(edges[i], edges[j]) for (i, j) in parent if find((i, j)) == (i, j)]
+        gens.append(tuple(position[tuple(sorted((image[i], image[j])))] for i, j in pairs))
+    seen: set[int] = set()
+    out = []
+    for x, (i, j) in enumerate(pairs):
+        if x not in seen:
+            seen |= orbit_closure([x], gens)
+            out.append((edges[i], edges[j]))
+    return out
 
 
 def _diamond_block(i: int) -> list[tuple[int, int]]:
@@ -390,18 +370,17 @@ def _tip_partitions(tips: list[int], n_pairs: int, n_triples: int):
 
 
 def _irreducible_cubic_connected(n: int) -> list[Graph]:
-    """Connected cubic graphs on n >= 4 vertices with no reducible edge.
+    """Connected cubic graphs on n vertices with no reducible edge.
 
     These are assemblies of vertex-disjoint diamonds whose tips are
     matched up pairwise or attached in triples to connector vertices.
     Every edge of such a graph is blocked for the 2-edge reduction, and
     conversely a reduction-free connected cubic graph has this shape.
     At n = 4 joining the diamond's tips gives K4; above that such an edge
-    closes off a K4 component, which the connectivity test drops.
+    closes off a K4 component, which the connectivity test drops. There
+    is no diamond below n = 4, and odd n fails every parity test.
     """
     out: list[Graph] = []
-    if n < 4 or n % 2:
-        return out
     for d in range(1, n // 4 + 1):
         c = n - 4 * d
         if 3 * c > 2 * d or (2 * d - 3 * c) % 2:

@@ -122,6 +122,17 @@ def test_search_cli(tmp_path, capsys):
     assert code == 1  # no hits
 
 
+def test_search_cli_prints_one_line_per_hit(capsys):
+    argv = ["search", "-k", "1", "-n", "8", "--target", "convergent-nonhelly-complement"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "0 hit(s)\n"
+    argv = ["search", "-k", "3", "-n", "12", "--target", "helly-complement"]
+    assert main(argv + ["--format", "json"]) == 0
+    hits = [h["graph6"] for h in json.loads(capsys.readouterr().out)["hits"]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in ["1 hit(s)"] + hits)
+
+
 def test_bound_cli(capsys):
     code = main(["bound", "3", "--format", "json"])
     out = json.loads(capsys.readouterr().out)

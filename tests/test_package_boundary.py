@@ -4,9 +4,12 @@ The library stays stdlib-only, never imports the test helpers, and
 exposes none of the reference implementations in `oracles.py` nor the
 helpers deleted because no library code called them. Sources are read
 with `ast`, so an import that only runs on some path is still seen.
+Importing the package loads no process pool until a census asks for one.
 """
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +22,7 @@ DELETED = (
     "OracleLimitError",
     "_connected_cubic_classes",
     "_cubic_classes",
+    "_pairing_can_continue",
     "common_neighbors",
     "cone_apex",
     "count_cotriangle_incidences",
@@ -83,3 +87,19 @@ def test_oracles_and_deleted_helpers_are_not_library_names():
         (home.__name__, name) for home in homes for name in sorted(gone) if hasattr(home, name)
     ]
     assert present == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a census with jobs > 1 needs multiprocessing
+    probe = (
+        "import sys, cliquedyn; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    assert out == "[]\n"

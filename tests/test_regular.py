@@ -13,6 +13,7 @@ from cliquedyn import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     is_connected,
     matching_graph,
     random_regular,
@@ -86,11 +87,29 @@ def test_deterministic_output_order():
     assert a == b == sorted(a)
 
 
-def test_ceiling_is_checked_once_per_request():
-    regular._regular_classes.cache_clear()
+@pytest.fixture
+def cold_class_cache(monkeypatch):
+    """Install a private empty class cache for this test, and return it.
+
+    The recursion and `enumerate_regular` look `_regular_classes` up in
+    the module, so both fill the private cache, and the shared warm
+    cache comes back after the test. A name imported from the module
+    still points to the shared cache.
+    """
+
+    def install():
+        cache = lru_cache(maxsize=None)(regular._regular_classes.__wrapped__)
+        monkeypatch.setattr(regular, "_regular_classes", cache)
+        return cache
+
+    return install
+
+
+def test_ceiling_is_checked_once_per_request(cold_class_cache):
+    cache = cold_class_cache()
     spec = RegularGenSpec(k=4, n=9)
     assert list(enumerate_regular(spec, ceiling=9)) == list(enumerate_regular(spec))
-    assert regular._regular_classes.cache_info().currsize == 1
+    assert cache.cache_info().currsize == 1
     # the route's degree sets the ceiling, and the error waits for the first next
     late = enumerate_regular(RegularGenSpec(k=12, n=16))
     with pytest.raises(ValueError, match=r"^exhaustive cubic enumeration capped at n=14 \(requested 16\)$"):
@@ -181,6 +200,11 @@ def test_irreducible_family_matches_census_large(n):
     assert family == census
 
 
+def test_irreducible_family_is_empty_below_four_and_at_odd_orders():
+    for n in list(range(4)) + list(range(5, 16, 2)):
+        assert _irreducible_cubic_connected(n) == []
+
+
 def test_cubic_known_class_counts():
     assert len(classes(3, 6)) == 2
     assert len(classes(3, 8)) == 6
@@ -265,6 +289,12 @@ def test_random_regular_unique_small_classes():
     assert are_isomorphic(random_regular(2, 5, seed=9), cycle_graph(5))
 
 
+def test_random_regular_zero_degree_is_the_empty_graph():
+    for n in range(1, 9):
+        for seed in (0, 1, 7, 12345):
+            assert random_regular(0, n, seed=seed) == empty_graph(n)
+
+
 def test_random_regular_deterministic():
     a = random_regular(3, 12, seed=123)
     b = random_regular(3, 12, seed=123)
@@ -343,17 +373,6 @@ def test_inline_index_draw_matches_randrange():
 
 # -- orbit-pruned cubic expansion --------------------------------------------
 
-def _clear_regular_caches():
-    regular._regular_classes.cache_clear()
-
-
-@pytest.fixture
-def cold_regular_caches():
-    _clear_regular_caches()
-    yield
-    _clear_regular_caches()
-
-
 @lru_cache(maxsize=None)
 def _cubic_classes_all_pairs(n):
     """The expansion closure inserting every unordered edge pair (oracle).
@@ -393,8 +412,8 @@ def _cubic_classes_all_pairs(n):
 @pytest.mark.parametrize(
     "n", [6, 8, 10, pytest.param(12, marks=pytest.mark.slow)]
 )
-def test_orbit_pruned_cubic_classes_match_all_pairs_oracle(n, cold_regular_caches):
-    assert _regular_classes(3, n) == _cubic_classes_all_pairs(n)
+def test_orbit_pruned_cubic_classes_match_all_pairs_oracle(n, cold_class_cache):
+    assert cold_class_cache()(3, n) == _cubic_classes_all_pairs(n)
 
 
 def _edge_pair_orbits(g):
@@ -446,15 +465,15 @@ def test_orbit_representatives_of_small_cubic_classes_are_one_per_orbit():
 
 @pytest.mark.parametrize("cap", [0, 1])
 def test_truncated_automorphism_group_keeps_every_cubic_class(
-    cap, cold_regular_caches, monkeypatch
+    cap, cold_class_cache, monkeypatch
 ):
     # keep only the first `cap` generators, so orbits merge along a subgroup of Aut(g)
     full = _regular_classes(3, 10)
-    _clear_regular_caches()
     monkeypatch.setattr(
         regular, "automorphism_generators", lambda g: canon.automorphism_generators(g)[:cap]
     )
-    assert _regular_classes(3, 10) == full
+    # installed after the patch, so every level is rebuilt with the truncated generators
+    assert cold_class_cache()(3, 10) == full
 
 
 @pytest.mark.parametrize(
