@@ -9,11 +9,6 @@ one, so the search jumps back to the depth where the two paths part.
 Recorded automorphisms fixing the current prefix also prune sibling
 branches. The canonical form of a graph is the graph6 string of the
 best relabeling; two graphs are isomorphic iff their forms are equal.
-
-`automorphism_generators` exposes the automorphisms that one search
-records. They generate a subgroup of Aut(g), which suffices for orbit
-pruning by callers through `orbit_closure`: merging choices along any
-subgroup of Aut(g) keeps at least one choice from every Aut(g)-orbit.
 """
 from __future__ import annotations
 
@@ -167,18 +162,6 @@ def canonical_graph(g: Graph) -> Graph:
     search = _CanonSearch(g)
     search.run()
     return Graph(g.n, search.best[0] if search.best else ())
-
-
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms recorded by one canonical search (vertex -> image).
-
-    Each comes from two leaves with equal relabeled rows, so each is a
-    true automorphism. Together they generate a subgroup of Aut(g), not
-    necessarily all of it.
-    """
-    search = _CanonSearch(g)
-    search.run()
-    return search.generators
 
 
 def canonical_form(g: Graph) -> str:

@@ -130,7 +130,7 @@ def load_input(text: str) -> Graph:
         if not graphs:
             raise ValueError(f"no graphs found in {text}")
         return graphs[0]
-    head = text.strip().split(" ")[0].split("(")[0].lower()
+    head = re.split(r"[\s(]", text.strip(), maxsplit=1)[0].lower()
     if head in _NULLARY or head in ("union", "join", "complement", "complete_bipartite"):
         return parse_graph_expression(text)
     return graph6.decode(text)

@@ -6,19 +6,14 @@ Exhaustive enumeration dispatches by degree:
   * k = 2 graphs are disjoint unions of cycles, one class per partition
     of n into parts >= 3,
   * k > (n-1)/2, k = n-1 included, is enumerated through complements,
-  * k = 3 uses an expansion closure: every cubic graph on n >= 8
-    vertices either arises from one on n-2 vertices by subdividing two
-    distinct edges and joining the new vertices, or has a connected
-    irreducible component I (K4, diamond necklaces and diamond/connector
-    assemblies), being I itself or I beside any cubic class on the rest.
-    Only one edge pair per orbit of the parent's automorphisms is
-    inserted, since automorphic pairs give isomorphic children. The
-    closure is cross-checked against the independent brute-force
-    enumerator and the all-pairs expansion in the test suite,
-  * other degrees use row-by-row backtracking that drops a partial
-    graph once a swap of two vertices that its placed rows already
-    decide would give a larger upper-triangle string, so few labeled
-    leaves reach canonization and no degree feasibility test is needed.
+  * every other degree, cubic included, uses row-by-row backtracking
+    that drops a partial graph once a swap of two vertices that its
+    placed rows already decide would give a larger upper-triangle
+    string, or once a placed pair has more common neighbours than the
+    lexicographically largest labeling allows: no edge more than
+    vertices 0 and 1, and, when 0 and 1 have none, no pair more than
+    vertices 1 and 2. So few labeled leaves reach canonization, and no
+    degree feasibility test is needed.
 
 All paths deduplicate through canonical forms and emit canonically
 labeled graphs sorted by their graph6 string, so output order is
@@ -33,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import graph6
-from .canon import automorphism_generators, canonical_graph, orbit_closure
+from .canon import canonical_graph
 from .graphs import (
     Graph,
     complement,
@@ -210,8 +205,8 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
     Exhaustive mode yields exactly one canonically labeled representative
     per isomorphism class, sorted by graph6 string. Random mode yields
     `count` seeded samples (classes may repeat). Unsatisfiable degree
-    specs warn and yield nothing. An exhaustive order past the ceiling
-    of its route (cubic or generic, after the complement flip) raises
+    specs warn and yield nothing. An exhaustive order past its degree's
+    ceiling (cubic or generic, after the complement flip) raises
     ValueError on the first `next`.
     """
     if not spec.satisfiable():
@@ -259,23 +254,6 @@ def _regular_classes(k: int, n: int) -> tuple[Graph, ...]:
             disjoint_union([cycle_graph(p) for p in part])
             for part in _partitions_min_part(n, 3)
         )
-    if k == 3:
-        # a cubic graph is an edge insertion into a class on n - 2 vertices,
-        # a connected irreducible I beside any class, or such an I itself
-        if n % 2:
-            return ()
-        candidates = [
-            _edge_insert(g, e1, e2)
-            for g in _regular_classes(3, n - 2)
-            for e1, e2 in _edge_pair_orbit_representatives(g)
-        ]
-        candidates += [
-            disjoint_union([i, r])
-            for m in range(4, n - 3, 2)
-            for i in _irreducible_cubic_connected(m)
-            for r in _regular_classes(3, n - m)
-        ]
-        return _sorted_canonical(candidates + _irreducible_cubic_connected(n))
     return _sorted_canonical(_pruned_labeled_regular(n, k))
 
 
@@ -296,114 +274,6 @@ def _partitions_min_part(n: int, min_part: int):
     yield from rec(n, n, [])
 
 
-# -- cubic graphs via expansion closure -------------------------------------
-
-def _edge_insert(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
-    """Subdivide two distinct edges and join the two new vertices."""
-    a, b = e1
-    c, d = e2
-    n = g.n
-    x, y = n, n + 1
-    rows = list(g.rows) + [0, 0]
-    rows[a] &= ~(1 << b)
-    rows[b] &= ~(1 << a)
-    rows[c] &= ~(1 << d)
-    rows[d] &= ~(1 << c)
-    for p, q in ((x, a), (x, b), (y, c), (y, d), (x, y)):
-        rows[p] |= 1 << q
-        rows[q] |= 1 << p
-    return Graph(n + 2, rows)
-
-
-def _edge_pair_orbit_representatives(
-    g: Graph,
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """One unordered pair of distinct edges per orbit of the recorded automorphisms.
-
-    Each generator from `automorphism_generators` becomes a permutation
-    of the pair indices, in `combinations` order. One scan in that order
-    keeps each pair not yet seen and marks its `orbit_closure`, so the
-    pair kept is the first of its orbit. Automorphic pairs give
-    isomorphic edge insertions, and the generators span a subgroup of
-    Aut(g), so every insertion class keeps a representative.
-    """
-    edges = list(g.edges())
-    index = {e: i for i, e in enumerate(edges)}
-    pairs = list(combinations(range(len(edges)), 2))
-    position = {p: x for x, p in enumerate(pairs)}
-    gens = []
-    for sigma in automorphism_generators(g):
-        image = [index[tuple(sorted((sigma[u], sigma[v])))] for u, v in edges]
-        gens.append(tuple(position[tuple(sorted((image[i], image[j])))] for i, j in pairs))
-    seen: set[int] = set()
-    out = []
-    for x, (i, j) in enumerate(pairs):
-        if x not in seen:
-            seen |= orbit_closure([x], gens)
-            out.append((edges[i], edges[j]))
-    return out
-
-
-def _diamond_block(i: int) -> list[tuple[int, int]]:
-    # diamond on 4i..4i+3: chord (4i, 4i+1), tips 4i+2 and 4i+3
-    b = 4 * i
-    return [(b, b + 1), (b, b + 2), (b, b + 3), (b + 1, b + 2), (b + 1, b + 3)]
-
-
-def _tip_partitions(tips: list[int], n_pairs: int, n_triples: int):
-    """Partitions of the tip list into n_pairs 2-blocks and n_triples 3-blocks."""
-    if not tips:
-        yield []
-        return
-    first = tips[0]
-    rest = tips[1:]
-    if n_pairs:
-        for other in rest:
-            remaining = [t for t in rest if t != other]
-            for tail in _tip_partitions(remaining, n_pairs - 1, n_triples):
-                yield [(first, other)] + tail
-    if n_triples:
-        for pair in combinations(rest, 2):
-            remaining = [t for t in rest if t not in pair]
-            for tail in _tip_partitions(remaining, n_pairs, n_triples - 1):
-                yield [(first,) + pair] + tail
-
-
-def _irreducible_cubic_connected(n: int) -> list[Graph]:
-    """Connected cubic graphs on n vertices with no reducible edge.
-
-    These are assemblies of vertex-disjoint diamonds whose tips are
-    matched up pairwise or attached in triples to connector vertices.
-    Every edge of such a graph is blocked for the 2-edge reduction, and
-    conversely a reduction-free connected cubic graph has this shape.
-    At n = 4 joining the diamond's tips gives K4; above that such an edge
-    closes off a K4 component, which the connectivity test drops. There
-    is no diamond below n = 4, and odd n fails every parity test.
-    """
-    out: list[Graph] = []
-    for d in range(1, n // 4 + 1):
-        c = n - 4 * d
-        if 3 * c > 2 * d or (2 * d - 3 * c) % 2:
-            continue
-        p = (2 * d - 3 * c) // 2
-        tips = [4 * i + 2 + j for i in range(d) for j in (0, 1)]
-        edges_base = [e for i in range(d) for e in _diamond_block(i)]
-        for blocks in _tip_partitions(tips, p, c):
-            edges = list(edges_base)
-            extra = 0
-            for block in blocks:
-                if len(block) == 2:
-                    edges.append(block)
-                else:
-                    v = 4 * d + extra
-                    extra += 1
-                    edges.extend((v, t) for t in block)
-            g = Graph.from_edges(4 * d + extra, edges)
-            if is_connected(g):
-                out.append(g)
-    return out
-
-
 # -- generic degrees: pruned row-by-row backtracking -------------------------
 
 def _transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
@@ -420,6 +290,35 @@ def _transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
     return bool(rv & diff & -diff)
 
 
+def _common_neighbours_raise(rows: list[int], v: int) -> bool:
+    """Whether placed row v >= 1 breaks a common-neighbour bound of the maximal labeling.
+
+    With c(x, y) the number of common neighbours, the partial graph is
+    dropped when (1) some edge (a, v), a < v, has c(a, v) > c(0, 1), or
+    (2) c(0, 1) = 0, v >= 2 and some pair (a, v), a < v, has
+    c(a, v) > c(1, 2). Rows 0..v are final, so every count is final.
+
+    No class loses its lexicographically largest labeling. Its row 0 is
+    {1..k}, so row 1 reads 1^c 0^(k-1-c) 1^(k-1-c) 0... from column 2
+    on, with c = c(0, 1), and grows with c: c(0, 1) is the maximum over
+    all edges. If that maximum is 0, the graph is triangle-free and
+    vertex 2 lies in N(0) minus N(1), so row 2 reads
+    0^(k-2) 1^(c12-1) 0^(k-c12) 1^(k-c12) 0... from column 3 on, with
+    c12 = c(1, 2), and grows with c12. Any pair with a common neighbour
+    can take labels 1 and 2, so c(1, 2) is the maximum over all pairs.
+    That labeling passes every transposition test too, so every class
+    keeps a leaf.
+    """
+    rv = rows[v]
+    top = (rows[0] & rows[1]).bit_count()
+    if any((rows[a] & rv).bit_count() > top for a in range(v) if rv >> a & 1):
+        return True
+    if top or v < 2:
+        return False
+    bound = (rows[1] & rows[2]).bit_count()
+    return any((rows[a] & rv).bit_count() > bound for a in range(v))
+
+
 def _pruned_labeled_regular(n: int, k: int):
     """Labeled k-regular graphs whose labeling no decided transposition improves.
 
@@ -430,11 +329,12 @@ def _pruned_labeled_regular(n: int, k: int):
     c <= v where those differ fixes the first change of the string, in
     row c, whatever the later rows hold; adjacent pairs suffice because
     lexicographic order is transitive. The partial graph is dropped once
-    a decided swap gives a larger upper-triangle string. The
-    lexicographically maximal labeling of every class passes every
-    transposition, so every class keeps a representative (at v = 0 only
-    N(0) = {1..k} survives), and canonical deduplication downstream
-    yields the full census.
+    a decided swap gives a larger upper-triangle string, or once
+    `_common_neighbours_raise` finds a count on rows 0..v that the
+    maximal labeling cannot have. The lexicographically maximal labeling
+    of every class passes both tests, so every class keeps a
+    representative (at v = 0 only N(0) = {1..k} survives), and canonical
+    deduplication downstream yields the full census.
     """
     rows = [0] * n
     out: list[Graph] = []
@@ -454,7 +354,7 @@ def _pruned_labeled_regular(n: int, k: int):
             ) and not any(
                 _transposition_raises(rows[w], rows[w + 1], w, w + 1)
                 for w in range(v + 1, n - 1)
-            ):
+            ) and not (v and _common_neighbours_raise(rows, v)):
                 place(v + 1)
             for w in combo:
                 rows[v] &= ~(1 << w)

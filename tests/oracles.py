@@ -3,11 +3,22 @@
 Each one decides its question from the definition, exponentially where
 it must, and reuses no fast-path kernel of the function it checks. They
 live here, outside the package, so that no library code can call one.
+The cubic expansion closure at the end is not brute force: it is a
+second exhaustive cubic route, built from the 2-edge reduction theorem
+rather than from labelings.
 """
 from collections import Counter
 from itertools import combinations, permutations
 
-from cliquedyn import Graph, bits, encode, mask_of, maximal_cliques, triangle_count
+from cliquedyn import (
+    Graph,
+    bits,
+    encode,
+    is_connected,
+    mask_of,
+    maximal_cliques,
+    triangle_count,
+)
 
 
 def isomorphic_brute(g: Graph, h: Graph) -> bool:
@@ -187,3 +198,82 @@ def _all_labeled_regular(n: int, k: int):
                 deg[w] -= 1
 
     yield from place(0)
+
+
+# -- the cubic expansion closure ---------------------------------------------
+
+def edge_insert(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
+    """Subdivide two distinct edges and join the two new vertices."""
+    a, b = e1
+    c, d = e2
+    n = g.n
+    x, y = n, n + 1
+    rows = list(g.rows) + [0, 0]
+    rows[a] &= ~(1 << b)
+    rows[b] &= ~(1 << a)
+    rows[c] &= ~(1 << d)
+    rows[d] &= ~(1 << c)
+    for p, q in ((x, a), (x, b), (y, c), (y, d), (x, y)):
+        rows[p] |= 1 << q
+        rows[q] |= 1 << p
+    return Graph(n + 2, rows)
+
+
+def diamond_block(i: int) -> list[tuple[int, int]]:
+    # diamond on 4i..4i+3: chord (4i, 4i+1), tips 4i+2 and 4i+3
+    b = 4 * i
+    return [(b, b + 1), (b, b + 2), (b, b + 3), (b + 1, b + 2), (b + 1, b + 3)]
+
+
+def tip_partitions(tips: list[int], n_pairs: int, n_triples: int):
+    """Partitions of the tip list into n_pairs 2-blocks and n_triples 3-blocks."""
+    if not tips:
+        yield []
+        return
+    first = tips[0]
+    rest = tips[1:]
+    if n_pairs:
+        for other in rest:
+            remaining = [t for t in rest if t != other]
+            for tail in tip_partitions(remaining, n_pairs - 1, n_triples):
+                yield [(first, other)] + tail
+    if n_triples:
+        for pair in combinations(rest, 2):
+            remaining = [t for t in rest if t not in pair]
+            for tail in tip_partitions(remaining, n_pairs, n_triples - 1):
+                yield [(first,) + pair] + tail
+
+
+def irreducible_cubic_connected(n: int) -> list[Graph]:
+    """Connected cubic graphs on n vertices with no reducible edge.
+
+    These are assemblies of vertex-disjoint diamonds whose tips are
+    matched up pairwise or attached in triples to connector vertices.
+    Every edge of such a graph is blocked for the 2-edge reduction, and
+    conversely a reduction-free connected cubic graph has this shape.
+    At n = 4 joining the diamond's tips gives K4; above that such an edge
+    closes off a K4 component, which the connectivity test drops. There
+    is no diamond below n = 4, and odd n fails every parity test.
+    """
+    out: list[Graph] = []
+    for d in range(1, n // 4 + 1):
+        c = n - 4 * d
+        if 3 * c > 2 * d or (2 * d - 3 * c) % 2:
+            continue
+        p = (2 * d - 3 * c) // 2
+        tips = [4 * i + 2 + j for i in range(d) for j in (0, 1)]
+        edges_base = [e for i in range(d) for e in diamond_block(i)]
+        for blocks in tip_partitions(tips, p, c):
+            edges = list(edges_base)
+            extra = 0
+            for block in blocks:
+                if len(block) == 2:
+                    edges.append(block)
+                else:
+                    v = 4 * d + extra
+                    extra += 1
+                    edges.extend((v, t) for t in block)
+            g = Graph.from_edges(4 * d + extra, edges)
+            if is_connected(g):
+                out.append(g)
+    return out

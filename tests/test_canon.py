@@ -189,6 +189,15 @@ def test_canonical_labelings_and_forms_are_pinned():
     assert h.hexdigest() == "717cd5fe76b47e6e7225a855f5cb531e887b73e8bc41d49f61feb86012773fcc"
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+def test_recorded_generators_are_automorphisms(g):
+    # the search skips sibling branches along these, so each must be a true automorphism
+    search = canon._CanonSearch(g)
+    search.run()
+    assert set(search.generators) <= set(automorphisms_brute(g))
+
+
 @pytest.mark.parametrize(
     "g",
     [

@@ -55,6 +55,16 @@ def test_analyze_graph6_string(capsys):
     assert out["order"] == 4 and out["clique_count"] == 1
 
 
+def test_analyze_finds_the_constructor_name_before_any_whitespace(capsys):
+    assert main(["analyze", "cycle\t5", "--format", "json"]) == 0
+    tab = json.loads(capsys.readouterr().out)
+    assert main(["analyze", "cycle 5", "--format", "json"]) == 0
+    space = json.loads(capsys.readouterr().out)
+    assert tab == {**space, "input": "cycle\t5"}
+    assert (tab["order"], tab["edges"], tab["degrees"]["regular"]) == (5, 5, 2)
+    assert main(["analyze", ""]) == 2
+
+
 def test_analyze_bad_input_exits_2(tmp_path, capsys):
     assert main(["analyze", "cycle nope"]) == 2
     assert main(["analyze", "!!notgraph6!!"]) == 2

@@ -22,7 +22,11 @@ DELETED = (
     "OracleLimitError",
     "_connected_cubic_classes",
     "_cubic_classes",
+    "_edge_insert",
+    "_edge_pair_orbit_representatives",
+    "_irreducible_cubic_connected",
     "_pairing_can_continue",
+    "automorphism_generators",
     "common_neighbors",
     "cone_apex",
     "count_cotriangle_incidences",

@@ -3,7 +3,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquedyn import (
@@ -20,13 +20,11 @@ from cliquedyn import (
     relabel,
     two_switch,
 )
-from cliquedyn import canon, encode, regular
-from cliquedyn.canon import automorphism_generators, canonical_graph
+from cliquedyn import encode, regular
+from cliquedyn.canon import canonical_graph
 from cliquedyn.regular import (
     RegularGenSpec,
-    _edge_insert,
-    _edge_pair_orbit_representatives,
-    _irreducible_cubic_connected,
+    _common_neighbours_raise,
     _partitions_min_part,
     _pruned_labeled_regular,
     _regular_classes,
@@ -35,7 +33,7 @@ from cliquedyn.regular import (
     enumerate_regular,
 )
 
-from oracles import automorphisms_brute, enumerate_regular_brute
+from oracles import edge_insert, enumerate_regular_brute, irreducible_cubic_connected
 from strategies import graphs
 
 
@@ -146,14 +144,6 @@ def test_matches_brute_force_slow_cases(k, n, brute_regular_forms):
     assert canon_set(classes(k, n)) == brute_regular_forms(k, n)
 
 
-@pytest.mark.parametrize("n", [10, pytest.param(12, marks=pytest.mark.slow)])
-def test_cubic_expansion_matches_generic_dfs(n):
-    # two independent exhaustive routes must agree
-    via_dfs = _sorted_canonical(_pruned_labeled_regular(n, 3))
-    assert list(via_dfs) == classes(3, n)
-    assert len(via_dfs) == {10: 21, 12: 94}[n]
-
-
 def _has_reducible_edge(g):
     # edge {x,y} is reducible when deleting x,y and reconnecting their
     # other neighbors pairwise keeps the graph simple
@@ -174,9 +164,7 @@ def _has_reducible_edge(g):
 def test_irreducible_family_matches_census(n):
     # the explicitly constructed irreducible family must be exactly the
     # connected classes without a reducible edge
-    from cliquedyn.regular import _irreducible_cubic_connected
-
-    family = canon_set(_irreducible_cubic_connected(n))
+    family = canon_set(irreducible_cubic_connected(n))
     census = {
         canonical_form(g)
         for g in classes(3, n, connected_only=True)
@@ -188,10 +176,8 @@ def test_irreducible_family_matches_census(n):
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [12, 14])
 def test_irreducible_family_matches_census_large(n):
-    from cliquedyn.regular import _irreducible_cubic_connected
-
     spec = RegularGenSpec(k=3, n=n, connected_only=True)
-    family = canon_set(_irreducible_cubic_connected(n))
+    family = canon_set(irreducible_cubic_connected(n))
     census = {
         canonical_form(g)
         for g in enumerate_regular(spec)
@@ -202,7 +188,7 @@ def test_irreducible_family_matches_census_large(n):
 
 def test_irreducible_family_is_empty_below_four_and_at_odd_orders():
     for n in list(range(4)) + list(range(5, 16, 2)):
-        assert _irreducible_cubic_connected(n) == []
+        assert irreducible_cubic_connected(n) == []
 
 
 def test_cubic_known_class_counts():
@@ -371,15 +357,16 @@ def test_inline_index_draw_matches_randrange():
             assert rng.getrandbits(1) == ref.getrandbits(1)
 
 
-# -- orbit-pruned cubic expansion --------------------------------------------
+# -- the cubic expansion closure as an oracle --------------------------------
 
 @lru_cache(maxsize=None)
 def _cubic_classes_all_pairs(n):
     """The expansion closure inserting every unordered edge pair (oracle).
 
-    Its unions are every multiset of connected classes over each partition
-    of n into even parts >= 4, a rule independent of the library's
-    irreducible-component-first unions.
+    Built from the 2-edge reduction theorem, not from labelings, so it
+    shares nothing with the library's row-by-row route but the final
+    canonical sort. Its unions are every multiset of connected classes
+    over each partition of n into even parts >= 4.
     """
     if n < 4 or n % 2:
         return ()
@@ -388,7 +375,7 @@ def _cubic_classes_all_pairs(n):
     candidates = []
     for g in _cubic_classes_all_pairs(n - 2):
         for e1, e2 in combinations(list(g.edges()), 2):
-            candidates.append(_edge_insert(g, e1, e2))
+            candidates.append(edge_insert(g, e1, e2))
     for part in _partitions_min_part(n, 4):
         if len(part) < 2 or any(p % 2 for p in part):
             continue
@@ -405,7 +392,7 @@ def _cubic_classes_all_pairs(n):
         ]
         for choice in product(*pools):
             candidates.append(disjoint_union([g for group in choice for g in group]))
-    candidates.extend(_irreducible_cubic_connected(n))
+    candidates.extend(irreducible_cubic_connected(n))
     return _sorted_canonical(candidates)
 
 
@@ -414,66 +401,6 @@ def _cubic_classes_all_pairs(n):
 )
 def test_orbit_pruned_cubic_classes_match_all_pairs_oracle(n, cold_class_cache):
     assert cold_class_cache()(3, n) == _cubic_classes_all_pairs(n)
-
-
-def _edge_pair_orbits(g):
-    """Orbits of unordered edge pairs under the full brute-force group."""
-    edges = [frozenset(e) for e in g.edges()]
-    group = automorphisms_brute(g)
-    orbit_of = {}
-    for e1, e2 in combinations(edges, 2):
-        pair = frozenset((e1, e2))
-        if pair in orbit_of:
-            continue
-        orbit = frozenset(
-            frozenset(frozenset(sigma[v] for v in e) for e in pair) for sigma in group
-        )
-        for member in orbit:
-            orbit_of[member] = orbit
-    return orbit_of
-
-
-def _check_orbit_representatives(g):
-    gens = automorphism_generators(g)
-    brute = set(automorphisms_brute(g))
-    assert all(sigma in brute for sigma in gens)
-    orbit_of = _edge_pair_orbits(g)
-    kept = [
-        orbit_of[frozenset((frozenset(e1), frozenset(e2)))]
-        for e1, e2 in _edge_pair_orbit_representatives(g)
-    ]
-    assert set(kept) == set(orbit_of.values())
-    return kept
-
-
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=7))
-def test_orbit_representatives_meet_every_edge_pair_orbit(g):
-    assume(g.edge_count() >= 2)
-    _check_orbit_representatives(g)
-
-
-def test_orbit_representatives_of_small_cubic_classes_are_one_per_orbit():
-    checked = 0
-    for n in (4, 6, 8):
-        for g in _regular_classes(3, n):
-            kept = _check_orbit_representatives(g)
-            assert len(kept) == len(set(kept))
-            checked += 1
-    assert checked == 9
-
-
-@pytest.mark.parametrize("cap", [0, 1])
-def test_truncated_automorphism_group_keeps_every_cubic_class(
-    cap, cold_class_cache, monkeypatch
-):
-    # keep only the first `cap` generators, so orbits merge along a subgroup of Aut(g)
-    full = _regular_classes(3, 10)
-    monkeypatch.setattr(
-        regular, "automorphism_generators", lambda g: canon.automorphism_generators(g)[:cap]
-    )
-    # installed after the patch, so every level is rebuilt with the truncated generators
-    assert cold_class_cache()(3, 10) == full
 
 
 @pytest.mark.parametrize(
@@ -619,6 +546,15 @@ def test_maximal_labeling_survives_the_generic_pruning():
                     _transposition_raises(h.rows[a], h.rows[b], a, b)
                     for a, b in combinations(range(n), 2)
                 )
+                # the common-neighbour counts both rules bound by c(0, 1) and c(1, 2)
+                common = {
+                    (a, b): (h.rows[a] & h.rows[b]).bit_count()
+                    for a, b in combinations(range(n), 2)
+                }
+                assert common[0, 1] == max(c for e, c in common.items() if h.has_edge(*e))
+                if common[0, 1] == 0 and n > 2:
+                    assert common[1, 2] == max(common.values())
+                assert not any(_common_neighbours_raise(h.rows, v) for v in range(1, n))
                 if k >= 2:
                     assert h in _pruned_labeled_regular(n, k)
                 checked += 1
@@ -628,8 +564,9 @@ def test_maximal_labeling_survives_the_generic_pruning():
 @pytest.mark.parametrize(
     "n,k,leaves,digest",
     [
-        (9, 4, 81, "d04f3a896fdc443722bbe98ca7149d46c8ef9d8052fdf3ef47a649dd33fdf285"),
-        (10, 4, 614, "bc32b673d4a4501c460703ea8aac4d97f01e68c49d46783e29f3891e11ed556d"),
+        (9, 4, 39, "d04f3a896fdc443722bbe98ca7149d46c8ef9d8052fdf3ef47a649dd33fdf285"),
+        (10, 4, 218, "bc32b673d4a4501c460703ea8aac4d97f01e68c49d46783e29f3891e11ed556d"),
+        (11, 4, 1473, "569159f279a9414b8b629e3d29996755081b5ff4454ec193d5cfd7816bec557b"),
     ],
 )
 def test_generic_route_leaf_count_and_class_list_are_pinned(n, k, leaves, digest):
