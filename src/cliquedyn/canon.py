@@ -25,18 +25,35 @@ def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> lis
     Cells are vertex masks. Splitting a cell orders the fragments by
     their neighbor count into the splitter, ascending, so the result
     depends only on the isomorphism type of (graph, ordered partition).
+    A singleton splitter {s} gives counts 0 and 1 only, so its split of
+    a cell is `cell & ~rows[s]` then `cell & rows[s]`, the same two
+    fragments in the same order as counting each vertex would give.
     """
     while worklist:
         splitter = worklist.pop()
         new_cells: list[int] = []
+        if splitter and splitter & (splitter - 1) == 0:
+            row = rows[splitter.bit_length() - 1]
+            for cell in cells:
+                near = cell & row
+                if near and near != cell:
+                    new_cells += (cell ^ near, near)
+                    worklist += (cell ^ near, near)
+                else:
+                    new_cells.append(cell)
+            cells = new_cells
+            continue
         for cell in cells:
             if cell & (cell - 1) == 0:  # empty or singleton
                 new_cells.append(cell)
                 continue
             groups: dict[int, int] = {}
-            for v in bits(cell):
-                d = (rows[v] & splitter).bit_count()
-                groups[d] = groups.get(d, 0) | (1 << v)
+            q = cell
+            while q:
+                low = q & -q
+                d = (rows[low.bit_length() - 1] & splitter).bit_count()
+                groups[d] = groups.get(d, 0) | low
+                q ^= low
             if len(groups) == 1:
                 new_cells.append(cell)
                 continue
@@ -46,6 +63,32 @@ def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> lis
                 worklist.append(part)
         cells = new_cells
     return cells
+
+
+def _individualize(rows: tuple[int, ...], cells: list[int], tgt: int, v: int) -> list[int]:
+    """Cut v out of cell `tgt` of an equitable partition, then refine.
+
+    The result is `_refine(rows, cells[:tgt] + [{v}, rest] + cells[tgt + 1:],
+    [{v}, rest])`, with rest = the cell less v. That worklist pops rest
+    first. In an equitable partition the vertices of a cell all have the
+    same count into the old cell, and their count into rest is that less
+    one exactly when they are adjacent to v. So the pop splits every cell
+    by v, the adjacent fragment first, and this does it without counting.
+    Once every cell is split by v, {v} splits nothing, so it is dropped
+    from the worklist.
+    """
+    row = rows[v]
+    cell = cells[tgt]
+    new_cells: list[int] = []
+    worklist: list[int] = []
+    for c in cells[:tgt] + [1 << v, cell & ~(1 << v)] + cells[tgt + 1 :]:
+        near = c & row
+        if near and near != c:
+            new_cells += (near, c ^ near)
+            worklist += (near, c ^ near)
+        else:
+            new_cells.append(c)
+    return _refine(rows, new_cells, worklist)
 
 
 def _first_target_cell(cells: list[int]) -> int:
@@ -119,9 +162,7 @@ class _CanonSearch:
                 continue
             explored.append(v)
             closure |= orbit_closure([v], applicable)
-            rest = cell & ~(1 << v)
-            new_cells = cells[:tgt] + [1 << v, rest] + cells[tgt + 1 :]
-            refined = _refine(self.rows, new_cells, [1 << v, rest])
+            refined = _individualize(self.rows, cells, tgt, v)
             resume = self._descend(refined, prefix + (v,))
             if resume < len(prefix):
                 return resume

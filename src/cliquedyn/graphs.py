@@ -192,17 +192,35 @@ def induced(g: Graph, vertices: int | Iterable[int]) -> Graph:
     The new graph uses indices 0..k-1 in increasing order of the original
     vertex numbers. A full mask returns g itself. That is safe because a
     full mask keeps every vertex at its own index and Graph is immutable.
+
+    The mask is cut into maximal runs of consecutive kept vertices. Each
+    run keeps its order and moves down by the number of dropped vertices
+    below it, so a kept row is copied with one shift and mask per run,
+    and the result is the same as renaming its bits one at a time.
     """
     mask = vertices if isinstance(vertices, int) else mask_of(vertices)
+    if mask < 0 or mask >> g.n:
+        raise ValueError(f"vertex set has a vertex outside 0..{g.n - 1}")
     if mask == g.full_mask():
         return g
-    keep = list(bits(mask))
-    index = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
-    for v in keep:
-        for w in bits(g.rows[v] & mask):
-            rows[index[v]] |= 1 << index[w]
-    return Graph(len(keep), rows)
+    runs: list[tuple[int, int]] = []  # (run mask, dropped vertices below it)
+    kept = 0
+    m = mask
+    while m:
+        low = m & -m
+        run = m & ~(m + low)
+        runs.append((run, low.bit_length() - 1 - kept))
+        kept += run.bit_count()
+        m ^= run
+    rows = []
+    for run, shift in runs:
+        first = (run & -run).bit_length() - 1
+        for row in g.rows[first : first + run.bit_count()]:
+            nr = 0
+            for r, s in runs:
+                nr |= (row & r) >> s
+            rows.append(nr)
+    return Graph(kept, rows)
 
 
 def permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:

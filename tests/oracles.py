@@ -1,16 +1,20 @@
-"""Brute-force reference implementations that the tests compare the library against.
+"""Reference implementations that the tests compare the library against.
 
-Each one decides its question from the definition, exponentially where
-it must, and reuses no fast-path kernel of the function it checks. They
-live here, outside the package, so that no library code can call one.
-The cubic expansion closure at the end is not brute force: it is a
-second exhaustive cubic route, built from the 2-edge reduction theorem
-rather than from labelings.
+Most decide their question from the definition, exponentially where
+they must, and reuse no fast-path kernel of the function they check.
+They live here, outside the package, so that no library code can call
+one. Two are the library's earlier inner loops, kept as they were when
+faster ones replaced them: plain pivoting Bron-Kerbosch and partition
+refinement that counts every vertex into every splitter. The cubic
+expansion closure at the end is not brute force either: it is a second
+exhaustive cubic route, built from the 2-edge reduction theorem rather
+than from labelings.
 """
 from collections import Counter
 from itertools import combinations, permutations
 
 from cliquedyn import (
+    CliqueLimitError,
     Graph,
     bits,
     encode,
@@ -37,28 +41,24 @@ def isomorphic_brute(g: Graph, h: Graph) -> bool:
     gd = g.degrees()
     hd = h.degrees()
     assigned = [-1] * n
-    used = [False] * n
 
-    def extend(v: int) -> bool:
+    def extend(v: int, used: int) -> bool:
+        # w can take v when its edges to the images of 0..v-1 are `need`
         if v == n:
             return True
+        need = 0
+        for u in range(v):
+            if (g.rows[v] >> u) & 1:
+                need |= 1 << assigned[u]
         for w in range(n):
-            if used[w] or gd[v] != hd[w]:
-                continue
-            if any(
-                ((g.rows[v] >> u) & 1) != ((h.rows[w] >> assigned[u]) & 1)
-                for u in range(v)
-            ):
+            if (used >> w) & 1 or gd[v] != hd[w] or h.rows[w] & used != need:
                 continue
             assigned[v] = w
-            used[w] = True
-            if extend(v + 1):
+            if extend(v + 1, used | 1 << w):
                 return True
-            used[w] = False
-            assigned[v] = -1
         return False
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def automorphisms_brute(g: Graph) -> list[tuple[int, ...]]:
@@ -77,6 +77,77 @@ def automorphisms_brute(g: Graph) -> list[tuple[int, ...]]:
         ):
             out.append(perm)
     return out
+
+
+def bron_kerbosch_reference(g: Graph, cap: int) -> tuple[int, ...]:
+    """Maximal cliques by plain pivoting Bron-Kerbosch, sorted as `maximal_cliques` sorts.
+
+    Every node scans P | X for the pivot that covers most of P and
+    branches on the rest of P; nothing moves into R without a branch.
+    Raises CliqueLimitError once more than `cap` cliques are found.
+    """
+    rows = g.rows
+    out: list[int] = []
+    if g.n == 0:
+        return ()
+    stack: list[tuple[int, int, int, int]] = []
+    r, p, x = 0, g.full_mask(), 0
+    while True:
+        if p:
+            pivot = -1
+            best = -1
+            for u in bits(p | x):
+                c = (p & rows[u]).bit_count()
+                if c > best:
+                    best = c
+                    pivot = u
+                    if c == p.bit_count():
+                        break
+            todo = p & ~rows[pivot]
+            if todo:
+                stack.append((r, p, x, todo))
+        elif not x:
+            out.append(r)
+            if len(out) > cap:
+                raise CliqueLimitError(cap)
+        if not stack:
+            break
+        r, p, x, todo = stack.pop()
+        vb = todo & -todo
+        if todo != vb:
+            stack.append((r, p ^ vb, x | vb, todo ^ vb))
+        row = rows[vb.bit_length() - 1]
+        r, p, x = r | vb, p & row, x & row
+    out.sort(key=lambda m: tuple(bits(m)))
+    return tuple(out)
+
+
+def refine_reference(rows, cells: list[int], worklist: list[int]) -> list[int]:
+    """Ordered partition refinement that counts each vertex into each splitter.
+
+    Pops the worklist from the end; each cell splits into fragments by
+    neighbour count into the splitter, ascending, and every fragment of
+    a split cell joins the worklist. Mutates `worklist`.
+    """
+    while worklist:
+        splitter = worklist.pop()
+        new_cells: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                new_cells.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            for v in bits(cell):
+                d = (rows[v] & splitter).bit_count()
+                groups[d] = groups.get(d, 0) | (1 << v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            for d in sorted(groups):
+                new_cells.append(groups[d])
+                worklist.append(groups[d])
+        cells = new_cells
+    return cells
 
 
 def helly_brute_oracle(g: Graph, clique_cap: int = 20) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from cliquedyn import (
     relabel,
 )
 
-from oracles import automorphisms_brute, isomorphic_brute
+from oracles import automorphisms_brute, isomorphic_brute, refine_reference
 from strategies import graphs
 
 
@@ -73,6 +74,83 @@ def test_relabel_invariance_many_trials():
 @given(graphs(max_n=6), graphs(max_n=6))
 def test_canonical_equality_matches_brute_force(g, h):
     assert (canonical_form(g) == canonical_form(h)) == isomorphic_brute(g, h)
+
+
+def _random_graph(rng, n, p):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_isomorphic_brute_matches_every_permutation():
+    # the oracle against the definition: some permutation carries g's edges onto h's
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        n = rng.randrange(0, 7)
+        g = _random_graph(rng, n, rng.random())
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        if rng.random() < 0.5 and n >= 4:
+            # one double edge swap a-b, c-d -> a-d, c-b keeps every degree
+            a, b, c, d = rng.sample(range(n), 4)
+            if h.has_edge(a, b) and h.has_edge(c, d) and not h.has_edge(a, d) and not h.has_edge(c, b):
+                edges = set(h.edges()) - {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+                edges |= {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+                h = Graph.from_edges(n, edges)
+        expected = any(
+            all(g.has_edge(u, v) == h.has_edge(q[u], q[v]) for u in range(n) for v in range(u + 1, n))
+            for q in permutations(range(n))
+        )
+        assert isomorphic_brute(g, h) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def _random_ordered_partition(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(0, n))) if n > 1 else []
+    return [
+        sum(1 << v for v in order[a:b]) for a, b in zip([0] + cuts, cuts + [n])
+    ]
+
+
+def test_refine_matches_reference_on_random_partitions():
+    # non-equitable partitions, splitters of every size and worklists in any
+    # order: the singleton shortcut must split exactly as counting does
+    rng = random.Random(31)
+    for _ in range(1500):
+        n = rng.randrange(1, 17)
+        g = _random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+        cells = _random_ordered_partition(rng, n)
+        worklist = rng.sample(cells, rng.randrange(0, len(cells) + 1))
+        worklist += [1 << v for v in rng.sample(range(n), rng.randrange(0, min(n, 4) + 1))]
+        rng.shuffle(worklist)
+        got = canon._refine(g.rows, list(cells), list(worklist))
+        assert got == refine_reference(g.rows, list(cells), list(worklist))
+
+
+def test_individualize_matches_refining_the_split_cell():
+    # from an equitable partition, cutting out v and refining by [{v}, rest]
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(1000):
+        n = rng.randrange(2, 17)
+        g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        start = _random_ordered_partition(rng, n) if rng.random() < 0.5 else [(1 << n) - 1]
+        cells = refine_reference(g.rows, list(start), list(start))
+        targets = [i for i, c in enumerate(cells) if c & (c - 1)]
+        if not targets:
+            continue
+        tgt = rng.choice(targets)
+        v = rng.choice([u for u in range(n) if (cells[tgt] >> u) & 1])
+        rest = cells[tgt] & ~(1 << v)
+        split = cells[:tgt] + [1 << v, rest] + cells[tgt + 1 :]
+        assert canon._individualize(g.rows, cells, tgt, v) == refine_reference(
+            g.rows, split, [1 << v, rest]
+        )
+        checked += 1
+    assert checked > 400
 
 
 def test_canonical_graph_is_isomorphic_to_input():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,15 @@ TIGHT = Limits(max_iterations=15, max_vertices=400, max_cliques=40_000)
 
 def canon(g):
     return canonical_form(g)
+
+
+def test_cubic_10_census_report_is_pinned():
+    # the census reaches capped iterates of 226-373 vertices, which the
+    # seeded G(n, p) pins of the classifier never do
+    doc = run_census(RegularGenSpec(3, 10), ALL_CHECKS, TIGHT).to_json(include_runtime=False)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "1c3f30b30e314b6a1c8151255c59500a55becfeda1e745a3e017960d3930dd70"
+    )
 
 
 def test_census_k2_n8_matches_known_behavior():

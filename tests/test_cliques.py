@@ -8,6 +8,7 @@ from hypothesis import given
 from cliquedyn import (
     CliqueLimitError,
     Graph,
+    Limits,
     are_isomorphic,
     bits,
     clique_graph,
@@ -18,7 +19,11 @@ from cliquedyn import (
     mask_of,
     octahedron,
 )
+from cliquedyn import behavior, cliques
+from cliquedyn.census import ALL_CHECKS, run_census
+from cliquedyn.regular import RegularGenSpec
 
+from oracles import bron_kerbosch_reference
 from strategies import graphs
 
 
@@ -108,6 +113,49 @@ def test_constructed_families_match_oracle():
     ]
     for g in family:
         assert set(maximal_cliques(g)) == naive_maximal_cliques(g)
+
+
+def test_dense_graphs_match_naive_oracle_and_cap_boundary():
+    # long chains of vertices adjacent to all the rest of P, which graphs()
+    # on at most 7 vertices rarely builds; the cap trips exactly past the count
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randrange(9, 13)
+        p = rng.choice((0.7, 0.8, 0.9, 0.95))
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        cl = maximal_cliques(g)
+        assert list(cl) == sorted(naive_maximal_cliques(g), key=lambda m: tuple(bits(m)))
+        assert maximal_cliques(g, cap=len(cl)) == cl
+        with pytest.raises(CliqueLimitError):
+            maximal_cliques(g, cap=len(cl) - 1)
+
+
+def test_matches_reference_on_every_cubic_10_census_iterate(monkeypatch):
+    # every enumeration the (3, 10) census makes under the acceptance limits,
+    # capped ones included: both give the same tuple or both raise at the cap
+    calls = []
+
+    def recording(g, cap=cliques.DEFAULT_CLIQUE_CAP):
+        calls.append((g, cap))
+        return maximal_cliques(g, cap)
+
+    monkeypatch.setattr(cliques, "maximal_cliques", recording)
+    monkeypatch.setattr(behavior, "maximal_cliques", recording)
+    run_census(RegularGenSpec(3, 10), ALL_CHECKS, Limits(15, 400, 40_000))
+    monkeypatch.undo()
+    capped = 0
+    for g, cap in calls:
+        try:
+            expected = bron_kerbosch_reference(g, cap)
+        except CliqueLimitError:
+            capped += 1
+            with pytest.raises(CliqueLimitError) as err:
+                maximal_cliques(g, cap)
+            assert err.value.cap == cap
+            continue
+        assert maximal_cliques(g, cap) == expected
+    assert len(calls) > 60 and capped >= 10
+    assert max(g.n for g, _ in calls) > 200
 
 
 @given(graphs(min_n=1))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,6 +140,28 @@ def test_induced_matches_bit_by_bit_reference(g, data):
         label="mask",
     )
     assert induced(g, mask) == _induced_bit_by_bit(g, mask)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 257, 300])
+def test_induced_few_run_masks_on_large_graphs(n):
+    # masks of one to n/2 runs on graphs wider than a machine word
+    rng = random.Random(n)
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    full = g.full_mask()
+    masks = [0, full >> (n // 2) << (n // 2), full & int("01" * n, 2), 1 << (n - 1)]
+    for v in {0, n // 2, n - 1, rng.randrange(n)}:
+        masks.append(full & ~(1 << v))
+        for w in {0, n - 1, rng.randrange(n)} - {v}:
+            masks.append(full & ~(1 << v) & ~(1 << w))
+    for mask in masks:
+        assert induced(g, mask) == _induced_bit_by_bit(g, mask)
+
+
+def test_induced_rejects_vertices_outside_the_graph():
+    c5 = cycle_graph(5)
+    for bad in (1 << 5, 0b100011, -1, [0, 5]):
+        with pytest.raises(ValueError):
+            induced(c5, bad)
 
 
 def test_components():
