@@ -326,10 +326,11 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
     iterates: list[Graph] = []
     invariants: list[tuple] = []
     canon_cache: dict[int, str] = {}
+    known: dict[tuple[int, ...], Graph] = {}  # leaf rows of this call's searches
 
     def canon_of(idx: int) -> str:
         if idx not in canon_cache:
-            canon_cache[idx] = canonical_form(iterates[idx])
+            canon_cache[idx] = canonical_form(iterates[idx], known)
         return canon_cache[idx]
 
     def result(status: str, done: int, **found) -> BehaviorResult:

@@ -9,7 +9,7 @@ instead of an unbounded run.
 """
 from __future__ import annotations
 
-from .graphs import Graph, bits
+from .graphs import Graph
 
 DEFAULT_CLIQUE_CAP = 2_000_000
 
@@ -99,7 +99,10 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
             stack.append((r, p ^ vb, x | vb, todo ^ vb))
         row = rows[vb.bit_length() - 1]
         r, p, x = r | vb, p & row, x & row
-    out.sort(key=lambda m: tuple(bits(m)))
+    # distinct maximal cliques are never nested, so the lowest vertex
+    # where two differ lies in the one whose sorted tuple comes first:
+    # the bit strings read from vertex 0 up, descending, give that order
+    out.sort(key=lambda m: format(m, f"0{g.n}b")[::-1], reverse=True)
     return tuple(out)
 
 
@@ -110,21 +113,21 @@ def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[Graph, tuple[
     tuple; vertices are adjacent iff the cliques share a vertex.
     """
     cl = maximal_cliques(g, cap=cap)
-    k = len(cl)
-    rows = [0] * k
-    # cliques through a common vertex form a complete block in K(g)
-    through: list[list[int]] = [[] for _ in range(g.n)]
+    # through[v]: mask of the cliques through v; a clique's row is the
+    # union of its vertices' masks, less itself
+    through = [0] * g.n
     for i, m in enumerate(cl):
-        for v in bits(m):
-            through[v].append(i)
-    for group in through:
-        if len(group) < 2:
-            continue
-        gm = 0
-        for i in group:
-            gm |= 1 << i
-        for i in group:
-            rows[i] |= gm
-    for i in range(k):
-        rows[i] &= ~(1 << i)
-    return Graph(k, rows), cl
+        bit = 1 << i
+        while m:
+            low = m & -m
+            through[low.bit_length() - 1] |= bit
+            m ^= low
+    rows: list[int] = []
+    for i, m in enumerate(cl):
+        row = 0
+        while m:
+            low = m & -m
+            row |= through[low.bit_length() - 1]
+            m ^= low
+        rows.append(row & ~(1 << i))
+    return Graph(len(cl), rows), cl

@@ -235,8 +235,9 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
 
 def _sorted_canonical(graphs) -> tuple[Graph, ...]:
     by_form: dict[str, Graph] = {}
+    known: dict[tuple[int, ...], Graph] = {}  # leaf rows of this call's searches
     for g in graphs:
-        cg = canonical_graph(g)
+        cg = canonical_graph(g, known)
         by_form[graph6.encode(cg)] = cg
     return tuple(by_form[s] for s in sorted(by_form))
 

@@ -3,9 +3,10 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Two are the library's earlier inner loops, kept as they were when
-faster ones replaced them: plain pivoting Bron-Kerbosch and partition
-refinement that counts every vertex into every splitter. The cubic
+one. Three are the library's earlier loops, kept as they were when
+faster ones replaced them: plain pivoting Bron-Kerbosch, partition
+refinement that counts every vertex into every splitter, and the class
+list step that runs one full canonical search per labeled graph. The cubic
 expansion closure at the end is not brute force either: it is a second
 exhaustive cubic route, built from the 2-edge reduction theorem rather
 than from labelings.
@@ -17,6 +18,7 @@ from cliquedyn import (
     CliqueLimitError,
     Graph,
     bits,
+    canonical_graph,
     encode,
     is_connected,
     mask_of,
@@ -202,6 +204,19 @@ def cotriangle_adjacent_vertices(g: Graph, t) -> int:
     if not in_range or any(g.has_edge(a, b) for a, b in combinations(t, 2)):
         raise ValueError(f"{tuple(t)} is not a cotriangle of the graph")
     return mask_of(_two_neighbor_vertices(g, t))
+
+
+def sorted_canonical_reference(graphs) -> tuple[Graph, ...]:
+    """One canonical graph per class of `graphs`, sorted by graph6.
+
+    Each graph gets its own full canonical search, with no leaf memo
+    shared between them.
+    """
+    by_form: dict[str, Graph] = {}
+    for g in graphs:
+        cg = canonical_graph(g)
+        by_form[encode(cg)] = cg
+    return tuple(by_form[s] for s in sorted(by_form))
 
 
 def enumerate_regular_brute(k: int, n: int, max_n: int = 8) -> list[Graph]:

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquedyn import (
     Graph,
@@ -27,7 +28,7 @@ from cliquedyn import (
 )
 
 from oracles import automorphisms_brute, isomorphic_brute, refine_reference
-from strategies import graphs
+from strategies import graphs, permutations_of
 
 
 def test_c5_self_complementary():
@@ -309,3 +310,80 @@ def test_search_leaves_on_symmetric_graphs_are_at_most_n(g, monkeypatch):
     for pos, v in enumerate(label):
         inv[v] = pos
     assert canonical_graph(g) == relabel(g, inv)
+
+
+# -- the leaf memo of canonical_graph -----------------------------------------
+
+def _count_leaves(monkeypatch):
+    """Count `_leaf` calls from now until the monkeypatch is undone."""
+    calls = [0]
+    real_leaf = canon._CanonSearch._leaf
+
+    def counting_leaf(self, *args):
+        calls[0] += 1
+        return real_leaf(self, *args)
+
+    monkeypatch.setattr(canon._CanonSearch, "_leaf", counting_leaf)
+    return calls
+
+
+@settings(deadline=None)
+@given(graphs(min_n=1, max_n=9), st.data())
+def test_relabeling_of_a_known_graph_stops_at_its_first_leaf(g, data):
+    known: dict = {}
+    cg = canonical_graph(g, known)
+    assert cg == canonical_graph(g)
+    h = relabel(g, data.draw(permutations_of(g.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        leaves = _count_leaves(mp)
+        got = canonical_graph(h, known)
+    assert leaves[0] == 1
+    assert got == canonical_graph(h) == cg
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_memo_of_other_classes_changes_no_answer(data):
+    # same order, so first rows and leaf tuples of the same length meet
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    g = data.draw(graphs(min_n=n, max_n=n))
+    others = data.draw(st.lists(graphs(min_n=n, max_n=n), max_size=12))
+    known: dict = {}
+    form = canonical_form(g)
+    for h in others:
+        if canonical_form(h) != form:
+            canonical_graph(h, known)
+    assert canonical_graph(g, known) == canonical_graph(g)
+
+
+def test_memo_keys_are_relabelings_of_their_values():
+    rng = random.Random(41)
+    known: dict = {}
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm), known) == canonical_form(g)
+    assert known
+    for rel, cg in known.items():
+        assert type(rel) is tuple and len(rel) == cg.n
+        assert canonical_graph(Graph(cg.n, rel)) == cg
+
+
+def test_relabelings_of_searched_graphs_are_one_leaf_searches(monkeypatch):
+    # symmetric shapes and orders past the hypothesis property's
+    rng = random.Random(43)
+    shapes = [octahedron(4), complete_bipartite(4, 4), complement(cycle_graph(10)), cycle_graph(9)]
+    shapes += [_random_graph(rng, rng.randrange(4, 13), rng.random()) for _ in range(30)]
+    known: dict = {}
+    for g in shapes:
+        canonical_graph(g, known)
+    leaves = _count_leaves(monkeypatch)
+    for g in shapes:
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            before = leaves[0]
+            canonical_graph(relabel(g, perm), known)
+            assert leaves[0] == before + 1

@@ -158,6 +158,21 @@ def test_matches_reference_on_every_cubic_10_census_iterate(monkeypatch):
     assert max(g.n for g, _ in calls) > 200
 
 
+def test_order_and_clique_graph_match_reference_on_random_graphs():
+    # the bit-string sort key against sorting the vertex tuples, and each
+    # clique graph row against pairwise intersection, up to 55 vertices
+    rng = random.Random(59)
+    for n in range(10, 56):
+        p = rng.choice((0.2, 0.4, 0.6)) if n < 40 else 0.2
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        expected = bron_kerbosch_reference(g, cliques.DEFAULT_CLIQUE_CAP)
+        kg, cl = clique_graph(g)
+        assert cl == expected
+        assert kg.rows == tuple(
+            sum(1 << j for j, b in enumerate(cl) if j != i and a & b) for i, a in enumerate(cl)
+        )
+
+
 @given(graphs(min_n=1))
 def test_every_vertex_in_some_clique(g):
     covered = 0

@@ -20,7 +20,7 @@ from cliquedyn import (
     relabel,
     two_switch,
 )
-from cliquedyn import encode, regular
+from cliquedyn import canon, encode, regular
 from cliquedyn.canon import canonical_graph
 from cliquedyn.regular import (
     RegularGenSpec,
@@ -33,7 +33,12 @@ from cliquedyn.regular import (
     enumerate_regular,
 )
 
-from oracles import edge_insert, enumerate_regular_brute, irreducible_cubic_connected
+from oracles import (
+    edge_insert,
+    enumerate_regular_brute,
+    irreducible_cubic_connected,
+    sorted_canonical_reference,
+)
 from strategies import graphs
 
 
@@ -575,3 +580,60 @@ def test_generic_route_leaf_count_and_class_list_are_pinned(n, k, leaves, digest
     assert all(g.rows[0] == (1 << (k + 1)) - 2 for g in labeled)
     listing = "\n".join(sorted(encode(g) for g in classes(k, n)))
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
+# -- one full canonical search per class ---------------------------------------
+
+@pytest.mark.parametrize(
+    "k,n",
+    [(3, n) for n in range(4, 13, 2)] + [(4, n) for n in range(5, 12)] + [(5, 8), (5, 10), (6, 10)],
+)
+def test_class_lists_match_one_plain_search_per_leaf(k, n, cold_class_cache, monkeypatch):
+    # the leaf memo only skips searches: the class list is the same, byte for byte
+    monkeypatch.setattr(regular, "_sorted_canonical", sorted_canonical_reference)
+    expected = cold_class_cache()(k, n)
+    monkeypatch.setattr(regular, "_sorted_canonical", _sorted_canonical)
+    assert cold_class_cache()(k, n) == expected
+
+
+def _count_searches(monkeypatch):
+    """Count canonical_graph calls from `regular`, and the searches that pass their first leaf."""
+    counts = {"calls": 0, "full": 0}
+    real_leaf = canon._CanonSearch._leaf
+
+    def leaf(self, *args):
+        first = self.first is None
+        resume = real_leaf(self, *args)
+        counts["full"] += first and resume >= 0
+        return resume
+
+    def counting_canonical_graph(*args):
+        counts["calls"] += 1
+        return canonical_graph(*args)
+
+    monkeypatch.setattr(canon._CanonSearch, "_leaf", leaf)
+    monkeypatch.setattr(regular, "canonical_graph", counting_canonical_graph)
+    return counts
+
+
+@pytest.mark.parametrize("k,n,count", [(3, 12, 94), (4, 10, 60), (4, 11, 266)])
+def test_one_full_search_per_class(k, n, count, cold_class_cache, monkeypatch):
+    leaves = len(_pruned_labeled_regular(n, k))
+    cache = cold_class_cache()
+    counts = _count_searches(monkeypatch)
+    assert len(cache(k, n)) == count
+    assert counts == {"calls": leaves, "full": count}
+
+
+def test_full_searches_repeat_on_a_cold_cache(cold_class_cache, monkeypatch):
+    # no memo outlives its call, so a cold request costs the same each time
+    cache = cold_class_cache()
+    counts = _count_searches(monkeypatch)
+    specs = (RegularGenSpec(3, 12), RegularGenSpec(4, 9))
+    seen = []
+    for _ in range(2):
+        cache.cache_clear()
+        before = dict(counts)
+        assert sum(len(list(enumerate_regular(spec))) for spec in specs) == 110
+        seen.append({key: counts[key] - before[key] for key in counts})
+    assert seen[0] == seen[1] == {"calls": 340 + 39, "full": 110}
