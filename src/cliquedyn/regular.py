@@ -12,8 +12,12 @@ Exhaustive enumeration dispatches by degree:
     string, or once a placed pair has more common neighbours than the
     lexicographically largest labeling allows: no edge more than
     vertices 0 and 1, and, when 0 and 1 have none, no pair more than
-    vertices 1 and 2. So few labeled leaves reach canonization, and no
-    degree feasibility test is needed.
+    vertices 1 and 2. The swaps are a placed vertex against the one
+    just placed, and two consecutive unplaced vertices; for the latter
+    the run rule suffices: among each run of consecutive unplaced
+    vertices whose rows are equal so far, the new row's neighbours are
+    a prefix of the run. So few labeled leaves reach canonization, and
+    no degree feasibility test is needed.
 
 All paths deduplicate through canonical forms and emit canonically
 labeled graphs sorted by their graph6 string, so output order is
@@ -234,12 +238,11 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
 
 
 def _sorted_canonical(graphs) -> tuple[Graph, ...]:
-    by_form: dict[str, Graph] = {}
     known: dict[tuple[int, ...], Graph] = {}  # leaf rows of this call's searches
-    for g in graphs:
-        cg = canonical_graph(g, known)
-        by_form[graph6.encode(cg)] = cg
-    return tuple(by_form[s] for s in sorted(by_form))
+    # a memo hit returns the graph of a class already searched, so each
+    # class is encoded once; graph6 is injective, so the sort has no ties
+    classes = dict.fromkeys(canonical_graph(g, known) for g in graphs)
+    return tuple(sorted(classes, key=graph6.encode))
 
 
 @lru_cache(maxsize=None)
@@ -291,13 +294,28 @@ def _transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
     return bool(rv & diff & -diff)
 
 
+def _placed_swap_raises(rows: list[int], rv: int, v: int) -> bool:
+    """Whether some swap of a placed vertex a < v with v raises the string.
+
+    `any(_transposition_raises(rows[a], rv, a, v) for a in range(v))`,
+    with rv the candidate row v, as one plain loop.
+    """
+    bit_v = 1 << v
+    for a in range(v):
+        diff = (rows[a] ^ rv) & ~((1 << a) | bit_v)
+        if rv & diff & -diff:
+            return True
+    return False
+
+
 def _common_neighbours_raise(rows: list[int], v: int) -> bool:
     """Whether placed row v >= 1 breaks a common-neighbour bound of the maximal labeling.
 
     With c(x, y) the number of common neighbours, the partial graph is
     dropped when (1) some edge (a, v), a < v, has c(a, v) > c(0, 1), or
     (2) c(0, 1) = 0, v >= 2 and some pair (a, v), a < v, has
-    c(a, v) > c(1, 2). Rows 0..v are final, so every count is final.
+    c(a, v) > c(1, 2). It reads rows 0..v only, which are final, so
+    every count is final.
 
     No class loses its lexicographically largest labeling. Its row 0 is
     {1..k}, so row 1 reads 1^c 0^(k-1-c) 1^(k-1-c) 0... from column 2
@@ -312,12 +330,19 @@ def _common_neighbours_raise(rows: list[int], v: int) -> bool:
     """
     rv = rows[v]
     top = (rows[0] & rows[1]).bit_count()
-    if any((rows[a] & rv).bit_count() > top for a in range(v) if rv >> a & 1):
-        return True
+    lower = rv & ((1 << v) - 1)  # the neighbours a < v
+    while lower:
+        low = lower & -lower
+        if (rows[low.bit_length() - 1] & rv).bit_count() > top:
+            return True
+        lower ^= low
     if top or v < 2:
         return False
     bound = (rows[1] & rows[2]).bit_count()
-    return any((rows[a] & rv).bit_count() > bound for a in range(v))
+    for a in range(v):
+        if (rows[a] & rv).bit_count() > bound:
+            return True
+    return False
 
 
 def _pruned_labeled_regular(n: int, k: int):
@@ -336,6 +361,19 @@ def _pruned_labeled_regular(n: int, k: int):
     of every class passes both tests, so every class keeps a
     representative (at v = 0 only N(0) = {1..k} survives), and canonical
     deduplication downstream yields the full census.
+
+    The unplaced pairs cost one mask test per combination, before the
+    combination touches `rows`. Every pair (w, w + 1) with w >= v + 1
+    already passed at depth v - 1 (at v = 0 all their rows are 0). A
+    pair whose rows differ below column v keeps its lowest difference,
+    and so its answer, when column v is added. A pair whose rows are
+    equal differs only in column v, and its swap raises exactly when
+    w + 1 joins row v and w does not. So with `tied` the vertices
+    w >= v + 2 whose row equals row w - 1, a combination with mask cm
+    fails exactly when tied & cm & ~(cm << 1) is nonzero: row v must
+    take a prefix of every run of equal rows. The test only cuts
+    earlier; a partial graph it drops would fail the placed-pair test
+    once row w + 1 is placed.
     """
     rows = [0] * n
     out: list[Graph] = []
@@ -345,21 +383,30 @@ def _pruned_labeled_regular(n: int, k: int):
             out.append(Graph(n, rows.copy()))
             return
         avail = [w for w in range(v + 1, n) if rows[w].bit_count() < k]
-        for combo in combinations(avail, k - rows[v].bit_count()):
+        tied = 0
+        for w in avail:
+            if w - 1 > v and rows[w] == rows[w - 1]:
+                tied |= 1 << w
+        bit_v = 1 << v
+        base = rows[v]
+        for combo in combinations(avail, k - base.bit_count()):
+            cm = 0
             for w in combo:
-                rows[v] |= 1 << w
-                rows[w] |= 1 << v
-            rv = rows[v]
-            if not any(
-                _transposition_raises(rows[a], rv, a, v) for a in range(v)
-            ) and not any(
-                _transposition_raises(rows[w], rows[w + 1], w, w + 1)
-                for w in range(v + 1, n - 1)
-            ) and not (v and _common_neighbours_raise(rows, v)):
-                place(v + 1)
+                cm |= 1 << w
+            if tied & cm & ~(cm << 1):
+                continue
+            rv = base | cm
+            if _placed_swap_raises(rows, rv, v):
+                continue
+            rows[v] = rv  # the rules read rows 0..v, so the rest can wait
+            if v and _common_neighbours_raise(rows, v):
+                continue
             for w in combo:
-                rows[v] &= ~(1 << w)
-                rows[w] &= ~(1 << v)
+                rows[w] |= bit_v
+            place(v + 1)
+            for w in combo:
+                rows[w] ^= bit_v
+        rows[v] = base
 
     place(0)
     return out

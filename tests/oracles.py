@@ -3,10 +3,11 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Three are the library's earlier loops, kept as they were when
+one. Four are the library's earlier loops, kept as they were when
 faster ones replaced them: plain pivoting Bron-Kerbosch, partition
-refinement that counts every vertex into every splitter, and the class
-list step that runs one full canonical search per labeled graph. The cubic
+refinement that counts every vertex into every splitter, the class
+list step that runs one full canonical search per labeled graph, and
+the generic regular route that tests every swap with its own call. The cubic
 expansion closure at the end is not brute force either: it is a second
 exhaustive cubic route, built from the 2-edge reduction theorem rather
 than from labelings.
@@ -25,6 +26,7 @@ from cliquedyn import (
     maximal_cliques,
     triangle_count,
 )
+from cliquedyn.regular import _transposition_raises
 
 
 def isomorphic_brute(g: Graph, h: Graph) -> bool:
@@ -284,6 +286,69 @@ def _all_labeled_regular(n: int, k: int):
                 deg[w] -= 1
 
     yield from place(0)
+
+
+# -- the generic route with one call per swap test --------------------------
+
+def common_neighbours_raise_reference(rows: list[int], v: int) -> bool:
+    """`regular._common_neighbours_raise` as `any` over generator expressions.
+
+    Rule 1 scans every a < v and keeps the neighbours of v; rule 2 every
+    a < v. The docstring of the library function gives both rules.
+    """
+    rv = rows[v]
+    top = (rows[0] & rows[1]).bit_count()
+    if any((rows[a] & rv).bit_count() > top for a in range(v) if rv >> a & 1):
+        return True
+    if top or v < 2:
+        return False
+    bound = (rows[1] & rows[2]).bit_count()
+    return any((rows[a] & rv).bit_count() > bound for a in range(v))
+
+
+def pruned_labeled_regular_reference(n: int, k: int):
+    """Labeled k-regular graphs whose labeling no decided transposition improves.
+
+    Once row v is placed, rows 0..v never change, so two kinds of swap
+    are decided: a < v with v, on their full rows, and two unplaced
+    neighbours w, w + 1, on their columns in rows 0..v, which are all
+    that an unplaced row holds so far. For the latter the lowest column
+    c <= v where those differ fixes the first change of the string, in
+    row c, whatever the later rows hold; adjacent pairs suffice because
+    lexicographic order is transitive. The partial graph is dropped once
+    a decided swap gives a larger upper-triangle string, or once
+    `common_neighbours_raise_reference` finds a count on rows 0..v that the
+    maximal labeling cannot have. The lexicographically maximal labeling
+    of every class passes both tests, so every class keeps a
+    representative (at v = 0 only N(0) = {1..k} survives), and canonical
+    deduplication downstream yields the full census.
+    """
+    rows = [0] * n
+    out: list[Graph] = []
+
+    def place(v: int):
+        if v == n:
+            out.append(Graph(n, rows.copy()))
+            return
+        avail = [w for w in range(v + 1, n) if rows[w].bit_count() < k]
+        for combo in combinations(avail, k - rows[v].bit_count()):
+            for w in combo:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+            rv = rows[v]
+            if not any(
+                _transposition_raises(rows[a], rv, a, v) for a in range(v)
+            ) and not any(
+                _transposition_raises(rows[w], rows[w + 1], w, w + 1)
+                for w in range(v + 1, n - 1)
+            ) and not (v and common_neighbours_raise_reference(rows, v)):
+                place(v + 1)
+            for w in combo:
+                rows[v] &= ~(1 << w)
+                rows[w] &= ~(1 << v)
+
+    place(0)
+    return out
 
 
 # -- the cubic expansion closure ---------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cliquedyn import (
     Graph,
     are_isomorphic,
+    bits,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -26,6 +27,7 @@ from cliquedyn.regular import (
     RegularGenSpec,
     _common_neighbours_raise,
     _partitions_min_part,
+    _placed_swap_raises,
     _pruned_labeled_regular,
     _regular_classes,
     _sorted_canonical,
@@ -33,10 +35,13 @@ from cliquedyn.regular import (
     enumerate_regular,
 )
 
+import oracles
 from oracles import (
+    common_neighbours_raise_reference,
     edge_insert,
     enumerate_regular_brute,
     irreducible_cubic_connected,
+    pruned_labeled_regular_reference,
     sorted_canonical_reference,
 )
 from strategies import graphs
@@ -524,6 +529,52 @@ def test_transposition_test_matches_string_comparison(g):
                 )
 
 
+@st.composite
+def partial_row_states(draw):
+    """(rows, v, cm): rows 0..v-1 placed, the rest on columns < v, and a combination for row v.
+
+    The rows of w >= v + 1 are sorted so that every consecutive pair of
+    them passes its swap test, as at a node of the generic route; they
+    are drawn from a small pool so that equal rows are common.
+    """
+    n = draw(st.integers(min_value=2, max_value=10))
+    v = draw(st.integers(min_value=0, max_value=n - 1))
+    placed = draw(graphs(min_n=v, max_n=v))
+    pool = draw(st.lists(st.integers(min_value=0, max_value=(1 << v) - 1), min_size=1, max_size=3))
+    masks = [draw(st.sampled_from(pool)) for _ in range(v, n)]
+    # the lowest column where two rows differ decides their swap
+    masks[1:] = sorted(masks[1:], key=lambda m: int(f"{m:0{v + 1}b}"[::-1], 2), reverse=True)
+    rows = list(placed.rows) + masks
+    for w in range(v, n):
+        for a in bits(masks[w - v]):
+            rows[a] |= 1 << w
+    cm = draw(st.integers(min_value=0, max_value=(1 << n) - 1)) & -(2 << v)  # within v+1..n-1
+    return rows, v, cm
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_row_states())
+def test_mask_rule_and_placed_swap_helper_match_the_per_pair_calls(state):
+    rows, v, cm = state
+    n = len(rows)
+    assert not any(
+        _transposition_raises(rows[w], rows[w + 1], w, w + 1) for w in range(v + 1, n - 1)
+    )
+    tied = sum(1 << w for w in range(v + 2, n) if rows[w] == rows[w - 1])
+    after = list(rows)
+    after[v] |= cm
+    for w in bits(cm):
+        after[w] |= 1 << v
+    assert bool(tied & cm & ~(cm << 1)) == any(
+        _transposition_raises(after[w], after[w + 1], w, w + 1) for w in range(v + 1, n - 1)
+    )
+    assert _placed_swap_raises(rows, after[v], v) == any(
+        _transposition_raises(rows[a], after[v], a, v) for a in range(v)
+    )
+    if v:
+        assert _common_neighbours_raise(after, v) == common_neighbours_raise_reference(after, v)
+
+
 def _maximal_labeling(g):
     """The labeling of g with the largest upper-triangle string, by brute force."""
     pairs = list(combinations(range(g.n), 2))
@@ -580,6 +631,39 @@ def test_generic_route_leaf_count_and_class_list_are_pinned(n, k, leaves, digest
     assert all(g.rows[0] == (1 << (k + 1)) - 2 for g in labeled)
     listing = "\n".join(sorted(encode(g) for g in classes(k, n)))
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
+_REFERENCE_CASES = [
+    (n, k) for n in range(4, 10) for k in range(2, n - 1) if (n * k) % 2 == 0
+] + [(10, 3), (12, 3), (10, 4), (11, 4), pytest.param(14, 3, marks=pytest.mark.slow)]
+
+
+def _record_rule_calls(monkeypatch, module, name):
+    """Record (v, rows 0..v) at every call of a common-neighbour rule function."""
+    calls = []
+    rule = getattr(module, name)
+
+    def recorded(rows, v):
+        calls.append((v, tuple(rows[: v + 1])))
+        return rule(rows, v)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n,k", _REFERENCE_CASES)
+def test_generic_route_matches_the_per_pair_reference(n, k, monkeypatch):
+    # Both routes reach the common-neighbour rules exactly on the partial
+    # graphs that pass both swap tests, so equal call records mean equal
+    # swap decisions in the same order. Leaves alone would not show a
+    # missing unplaced-pair test: the placed-pair test drops the same
+    # graphs later.
+    seen = _record_rule_calls(monkeypatch, regular, "_common_neighbours_raise")
+    expected = _record_rule_calls(monkeypatch, oracles, "common_neighbours_raise_reference")
+    assert [g.rows for g in _pruned_labeled_regular(n, k)] == [
+        g.rows for g in pruned_labeled_regular_reference(n, k)
+    ]
+    assert seen == expected
 
 
 # -- one full canonical search per class ---------------------------------------
