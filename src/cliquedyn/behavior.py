@@ -10,11 +10,11 @@ certified divergent shapes:
   * a join of two summands, both with coaffinations, one connected.
 
 All four are facts about the components of the complement, so
-`divergence_certificate` reads them off one join decomposition, whose
-summands are those components induced back in g. O_m's complement is m
-disjoint edges, so its summands are m >= 3 vertex pairs; a cycle
-complement's complement is one cycle, so it is a single summand; and
-the two join shapes have two or more summands.
+`divergence_certificate` reads them off those components. O_m's
+complement is m disjoint edges, so its components are m >= 3 vertex
+pairs; a cycle complement's complement is one cycle; and the two join
+shapes have two or more components, whose induced subgraphs in g are
+the summands of `join_summands`.
 
 Certificates carry explicit witnesses (isomorphism maps, summand blocks,
 coaffination permutations), and each certificate validates itself:
@@ -165,15 +165,11 @@ def join_summands(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     return [(tuple(bits(mask)), induced(g, mask)) for mask in comps]
 
 
-def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None:
-    """Cycle-complement certificate for g whose complement is connected (one summand)."""
-    n = g.n
-    if n < 8:
+def _cycle_complement_certificate(co: Graph) -> CycleComplementCertificate | None:
+    """Certificate for the complement of co, co connected: a cycle iff all degrees are 2."""
+    n = co.n
+    if n < 8 or any(row.bit_count() != 2 for row in co.rows):
         return None
-    # degree n - 3 in g is degree 2 in the complement, which is connected: a cycle
-    if any(row.bit_count() != n - 3 for row in g.rows):
-        return None
-    co = complement(g)
     mapping = [-1] * n
     prev, cur = -1, 0
     for pos in range(n):
@@ -186,35 +182,37 @@ def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None
 def divergence_certificate(g: Graph) -> Certificate | None:
     """First applicable divergence certificate, or None.
 
-    Every shape is read off the blocks of `join_summands(g)`: a single
-    block can only be a cycle complement; blocks that are all pairs
-    (with n >= 6) make g the octahedron O_{n/2}, block i's lower vertex
-    mapping to 2i and its higher to 2i + 1; otherwise two or more blocks
-    are tried as a join, three coaffinable summands before a connected
-    sum. The shapes exclude each other, so the order stays octahedron,
-    cycle complement, three summands, connected sum. A None result is
-    not a convergence claim.
+    Every shape is read off the components of the complement: a single
+    one can only be a cycle complement; blocks that are all pairs (with
+    n >= 6) make g the octahedron O_{n/2}, block i's lower vertex mapping
+    to 2i and its higher to 2i + 1; otherwise the blocks are induced and
+    tried as a join, three coaffinable summands before a connected sum.
+    The shapes exclude each other, so the order stays octahedron, cycle
+    complement, three summands, connected sum. A None result is not a
+    convergence claim.
     """
     if g.n == 0:
         return None
-    summands = join_summands(g)
-    if len(summands) == 1:
-        return _cycle_complement_certificate(g)
-    blocks = tuple(block for block, _ in summands)
+    co = complement(g)
+    comps = connected_components(co)
+    if len(comps) == 1:
+        return _cycle_complement_certificate(co)
+    blocks = tuple(tuple(bits(mask)) for mask in comps)
     if g.n >= 6 and all(len(block) == 2 for block in blocks):
         mapping = [0] * g.n
         for i, (lo, hi) in enumerate(blocks):
             mapping[lo], mapping[hi] = 2 * i, 2 * i + 1
         return OctahedronCertificate(len(blocks), tuple(mapping))
+    parts = [induced(g, mask) for mask in comps]
     coaffs = []
-    for _, part in summands:
+    for part in parts:
         sigma = find_coaffination(part)
         if sigma is None:
             return None
         coaffs.append(sigma)
-    if len(summands) >= 3:
+    if len(parts) >= 3:
         return ThreeSummandsCertificate(blocks, tuple(coaffs))
-    for idx, (_, part) in enumerate(summands):
+    for idx, part in enumerate(parts):
         if is_connected(part):
             return ConnectedSumCertificate(blocks, tuple(coaffs), idx)
     return None
@@ -302,7 +300,8 @@ def _fingerprint(data: str) -> str:
 
 
 def _iterate_invariant(g: Graph) -> tuple:
-    inv: tuple = (g.n, g.edge_count(), tuple(sorted(g.degrees())))
+    degrees = sorted(g.degrees())
+    inv: tuple = (g.n, sum(degrees) // 2, tuple(degrees))
     if g.n <= 64:
         inv += (triangle_count(g),)
     return inv
@@ -334,13 +333,14 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
         return canon_cache[idx]
 
     def result(status: str, done: int, **found) -> BehaviorResult:
+        # every invariant starts with the iterate's order and edge count
         trace = []
-        for idx, cur in enumerate(iterates):
+        for idx, inv in enumerate(invariants):
             if idx in canon_cache:
                 fp = _fingerprint(canon_cache[idx])
             else:
-                fp = "~" + _fingerprint(repr(invariants[idx]))[:11]
-            trace.append(IterateStat(cur.n, cur.edge_count(), fp))
+                fp = "~" + _fingerprint(repr(inv))[:11]
+            trace.append(IterateStat(inv[0], inv[1], fp))
         return BehaviorResult(
             status,
             iterations_done=done,

@@ -43,8 +43,11 @@ def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> lis
     A singleton splitter {s} gives counts 0 and 1 only, so its split of
     a cell is `cell & ~rows[s]` then `cell & rows[s]`, the same two
     fragments in the same order as counting each vertex would give.
+    Cells are never empty, so n cells are singletons, which no splitter
+    splits: the refinement stops there, leaving the worklist unread.
     """
-    while worklist:
+    n = len(rows)
+    while worklist and len(cells) < n:
         splitter = worklist.pop()
         new_cells: list[int] = []
         if splitter and splitter & (splitter - 1) == 0:

@@ -41,11 +41,13 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
     out: list[int] = []
     if g.n == 0:
         return ()
-    # frames (R, P, X, branches left); never more than |clique| + 1 deep
+    # frames (R, P, X, branches left) hold untried siblings only: a node
+    # descends into its lowest branch at once; one frame per clique vertex
     stack: list[tuple[int, int, int, int]] = []
     r, p, x = 0, g.full_mask(), 0
     while True:
         rest = p
+        todo = 0
         if p:
             size = p.bit_count()
             best = -1
@@ -85,15 +87,16 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
                         break
                 q ^= low
             todo = rest & ~pivot_row
-            if todo:
-                stack.append((r, rest, x, todo))
         elif not x:
             out.append(r)
             if len(out) > cap:
                 raise CliqueLimitError(cap)
-        if not stack:
+        if todo:
+            p = rest
+        elif stack:
+            r, p, x, todo = stack.pop()
+        else:
             break
-        r, p, x, todo = stack.pop()
         vb = todo & -todo
         if todo != vb:
             stack.append((r, p ^ vb, x | vb, todo ^ vb))

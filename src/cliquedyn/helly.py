@@ -40,9 +40,12 @@ def triangle_count(g: Graph) -> int:
     total = 0
     rows = g.rows
     for u in range(g.n):
-        for off in bits(rows[u] >> (u + 1)):
-            v = u + 1 + off
-            total += (rows[u] & (rows[v] >> (v + 1) << (v + 1))).bit_count()
+        # with v cleared, q is u's neighbours above v: u < v < w counts once
+        q = rows[u] >> (u + 1) << (u + 1)
+        while q:
+            low = q & -q
+            q ^= low
+            total += (q & rows[low.bit_length() - 1]).bit_count()
     return total
 
 

@@ -280,25 +280,16 @@ def _partitions_min_part(n: int, min_part: int):
 
 # -- generic degrees: pruned row-by-row backtracking -------------------------
 
-def _transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
-    """Whether swapping labels a < v gives a larger upper-triangle string.
-
-    The string lists rows 0, 1, ... with columns ascending, 1 > 0; ra
-    and rv are the full rows of a and v. The swap changes the string
-    only where rows a and v differ outside columns a and v, so the first
-    change is at the lowest such column c: in row c at column a when
-    c < a, in row a at column c when c > a. Either way the swapped
-    string holds rv's bit c there.
-    """
-    diff = (ra ^ rv) & ~((1 << a) | (1 << v))
-    return bool(rv & diff & -diff)
-
-
 def _placed_swap_raises(rows: list[int], rv: int, v: int) -> bool:
-    """Whether some swap of a placed vertex a < v with v raises the string.
+    """Whether swapping the labels of some placed a < v with v raises the string.
 
-    `any(_transposition_raises(rows[a], rv, a, v) for a in range(v))`,
-    with rv the candidate row v, as one plain loop.
+    The string lists rows 0, 1, ... with columns ascending, 1 > 0; rows[a]
+    is the full row of a and rv the candidate row v. The swap changes the
+    string only where rows a and v differ outside columns a and v, so the
+    first change is at the lowest such column c: in row c at column a
+    when c < a, in row a at column c when c > a. Either way the swapped
+    string holds rv's bit c there: the swap raises the string exactly
+    when rv holds the lowest bit of rows[a] ^ rv outside bits a and v.
     """
     bit_v = 1 << v
     for a in range(v):

@@ -3,11 +3,13 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Four are the library's earlier loops, kept as they were when
+one. Six are the library's earlier loops, kept as they were when
 faster ones replaced them: plain pivoting Bron-Kerbosch, partition
-refinement that counts every vertex into every splitter, the class
-list step that runs one full canonical search per labeled graph, and
-the generic regular route that tests every swap with its own call. The cubic
+refinement that counts every vertex into every splitter, the triangle
+count that walks neighbours with `bits`, the divergence screen that
+builds the full join decomposition of every graph, the class list step
+that runs one full canonical search per labeled graph, and the generic
+regular route that tests every swap with its own call. The cubic
 expansion closure at the end is not brute force either: it is a second
 exhaustive cubic route, built from the 2-edge reduction theorem rather
 than from labelings.
@@ -17,16 +19,22 @@ from itertools import combinations, permutations
 
 from cliquedyn import (
     CliqueLimitError,
+    ConnectedSumCertificate,
+    CycleComplementCertificate,
     Graph,
+    OctahedronCertificate,
+    ThreeSummandsCertificate,
     bits,
     canonical_graph,
+    complement,
     encode,
+    find_coaffination,
     is_connected,
+    join_summands,
     mask_of,
     maximal_cliques,
     triangle_count,
 )
-from cliquedyn.regular import _transposition_raises
 
 
 def isomorphic_brute(g: Graph, h: Graph) -> bool:
@@ -154,6 +162,17 @@ def refine_reference(rows, cells: list[int], worklist: list[int]) -> list[int]:
     return cells
 
 
+def triangle_count_reference(g: Graph) -> int:
+    """Triangles u < v < w, walking each u's higher neighbours v with `bits`."""
+    total = 0
+    rows = g.rows
+    for u in range(g.n):
+        for off in bits(rows[u] >> (u + 1)):
+            v = u + 1 + off
+            total += (rows[u] & (rows[v] >> (v + 1) << (v + 1))).bit_count()
+    return total
+
+
 def helly_brute_oracle(g: Graph, clique_cap: int = 20) -> bool:
     """Check the Helly property directly over all subfamilies of cliques.
 
@@ -206,6 +225,47 @@ def cotriangle_adjacent_vertices(g: Graph, t) -> int:
     if not in_range or any(g.has_edge(a, b) for a, b in combinations(t, 2)):
         raise ValueError(f"{tuple(t)} is not a cotriangle of the graph")
     return mask_of(_two_neighbor_vertices(g, t))
+
+
+def divergence_certificate_reference(g: Graph):
+    """`divergence_certificate` read off the pairs of `join_summands(g)`.
+
+    Every call builds the blocks and induced summands first, and a single
+    summand is tested as a cycle complement on g's own degrees.
+    """
+    if g.n == 0:
+        return None
+    summands = join_summands(g)
+    if len(summands) == 1:
+        n = g.n
+        if n < 8 or any(row.bit_count() != n - 3 for row in g.rows):
+            return None
+        co = complement(g)
+        mapping = [-1] * n
+        prev, cur = -1, 0
+        for pos in range(n):
+            mapping[cur] = pos
+            nxt = [w for w in bits(co.rows[cur]) if w != prev]
+            prev, cur = cur, nxt[0]
+        return CycleComplementCertificate(n, tuple(mapping))
+    blocks = tuple(block for block, _ in summands)
+    if g.n >= 6 and all(len(block) == 2 for block in blocks):
+        mapping = [0] * g.n
+        for i, (lo, hi) in enumerate(blocks):
+            mapping[lo], mapping[hi] = 2 * i, 2 * i + 1
+        return OctahedronCertificate(len(blocks), tuple(mapping))
+    coaffs = []
+    for _, part in summands:
+        sigma = find_coaffination(part)
+        if sigma is None:
+            return None
+        coaffs.append(sigma)
+    if len(summands) >= 3:
+        return ThreeSummandsCertificate(blocks, tuple(coaffs))
+    for idx, (_, part) in enumerate(summands):
+        if is_connected(part):
+            return ConnectedSumCertificate(blocks, tuple(coaffs), idx)
+    return None
 
 
 def sorted_canonical_reference(graphs) -> tuple[Graph, ...]:
@@ -290,6 +350,20 @@ def _all_labeled_regular(n: int, k: int):
 
 # -- the generic route with one call per swap test --------------------------
 
+def transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
+    """Whether swapping labels a < v gives a larger upper-triangle string.
+
+    The string lists rows 0, 1, ... with columns ascending, 1 > 0; ra
+    and rv are the full rows of a and v. The swap changes the string
+    only where rows a and v differ outside columns a and v, so the first
+    change is at the lowest such column c: in row c at column a when
+    c < a, in row a at column c when c > a. Either way the swapped
+    string holds rv's bit c there.
+    """
+    diff = (ra ^ rv) & ~((1 << a) | (1 << v))
+    return bool(rv & diff & -diff)
+
+
 def common_neighbours_raise_reference(rows: list[int], v: int) -> bool:
     """`regular._common_neighbours_raise` as `any` over generator expressions.
 
@@ -337,9 +411,9 @@ def pruned_labeled_regular_reference(n: int, k: int):
                 rows[w] |= 1 << v
             rv = rows[v]
             if not any(
-                _transposition_raises(rows[a], rv, a, v) for a in range(v)
+                transposition_raises(rows[a], rv, a, v) for a in range(v)
             ) and not any(
-                _transposition_raises(rows[w], rows[w + 1], w, w + 1)
+                transposition_raises(rows[w], rows[w + 1], w, w + 1)
                 for w in range(v + 1, n - 1)
             ) and not (v and common_neighbours_raise_reference(rows, v)):
                 place(v + 1)

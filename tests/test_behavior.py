@@ -30,10 +30,12 @@ from cliquedyn import (
     join_summands,
     octahedron,
     relabel,
+    triangle_count,
 )
 from cliquedyn.graph6 import decode
 
-from strategies import graphs
+from oracles import divergence_certificate_reference, triangle_count_reference
+from strategies import graphs, permutations_of
 
 
 def test_join_summands_examples():
@@ -353,21 +355,28 @@ def _pin_inputs():
     ]
 
 
+_PIN_LIMITS = (
+    Limits(max_iterations=15, max_vertices=400, max_cliques=40_000),
+    Limits(max_iterations=4, max_vertices=60, max_cliques=30),
+    Limits(max_iterations=6, max_vertices=25, max_cliques=1000),
+)
+
+
 @pytest.mark.parametrize(
     "limits, tripped, digest",
     [
         (
-            Limits(max_iterations=15, max_vertices=400, max_cliques=40_000),
+            _PIN_LIMITS[0],
             {"vertex-cap"},
             "124c8224c6571fa91041a0100715ba74d87c83f312c7245df8b55b78553ba4b3",
         ),
         (
-            Limits(max_iterations=4, max_vertices=60, max_cliques=30),
+            _PIN_LIMITS[1],
             {"clique-cap", "iteration-cap"},
             "6d601d9c6257f6fe4a558e2dc9aac88dcecccd64deae6fd0fb4c5dd878969fbe",
         ),
         (
-            Limits(max_iterations=6, max_vertices=25, max_cliques=1000),
+            _PIN_LIMITS[2],
             {"vertex-cap", "iteration-cap"},
             "9501d15fb58821d7897f1ca4e741b735170aae9edf204d94d7b90a77da1e2cd8",
         ),
@@ -387,6 +396,32 @@ def test_classify_behavior_reports_are_pinned(limits, tripped, digest):
             outcomes.add("divergent-at-0")
     assert h.hexdigest() == digest
     assert outcomes == {"convergent", "divergent", "divergent-at-0"} | tripped
+
+
+def test_trace_orders_and_edge_counts_are_the_iterates():
+    # the classifier takes each trace entry's edge count from the degree
+    # sum of its invariant; replaying the clique graph sequence recounts it
+    outcomes = set()
+    for limits in _PIN_LIMITS:
+        for g in _pin_inputs():
+            doc = classify_behavior(g, limits).to_json()
+            cur = g
+            for i, stat in enumerate(doc["trace"]):
+                if i:
+                    cur, _ = clique_graph(cur)
+                assert stat[:2] == [cur.n, cur.edge_count()]
+            if doc["status"] == "divergent":
+                outcomes.add("divergent-at-0" if doc["detected_at"] == 0 else "divergent-later")
+            else:
+                outcomes.add(doc.get("limit") or doc["status"])
+    assert outcomes == {
+        "convergent",
+        "divergent-at-0",
+        "divergent-later",
+        "clique-cap",
+        "vertex-cap",
+        "iteration-cap",
+    }
 
 
 def _certificate_pin_inputs():
@@ -423,3 +458,27 @@ def test_divergence_certificates_are_pinned():
         kinds.add(cert and cert.kind)
     assert kinds == {None, "octahedron", "cycle-complement", "three-summands", "connected-sum"}
     assert h.hexdigest() == "213fdb512f8a3e448257cf823e485aec29b7c3227d84606448ffbda01ce6e646"
+
+
+def test_screen_and_triangle_count_match_the_replaced_code_on_pinned_inputs():
+    for g in _certificate_pin_inputs() + [empty_graph(0)]:
+        assert divergence_certificate(g) == divergence_certificate_reference(g)
+        assert triangle_count(g) == triangle_count_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=9))
+def test_screen_and_triangle_count_match_the_replaced_code(g):
+    assert divergence_certificate(g) == divergence_certificate_reference(g)
+    assert triangle_count(g) == triangle_count_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(graphs(min_n=1, max_n=5), min_size=2, max_size=3), st.data())
+def test_screen_matches_the_replaced_code_on_joins(summands, data):
+    g = summands[0]
+    for part in summands[1:]:
+        g = join(g, part)
+    g = relabel(g, data.draw(permutations_of(g.n)))
+    assert divergence_certificate(g) == divergence_certificate_reference(g)
+    assert triangle_count(g) == triangle_count_reference(g)

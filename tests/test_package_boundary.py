@@ -26,6 +26,7 @@ DELETED = (
     "_edge_pair_orbit_representatives",
     "_irreducible_cubic_connected",
     "_pairing_can_continue",
+    "_transposition_raises",
     "automorphism_generators",
     "common_neighbors",
     "cone_apex",

@@ -31,7 +31,6 @@ from cliquedyn.regular import (
     _pruned_labeled_regular,
     _regular_classes,
     _sorted_canonical,
-    _transposition_raises,
     enumerate_regular,
 )
 
@@ -43,6 +42,7 @@ from oracles import (
     irreducible_cubic_connected,
     pruned_labeled_regular_reference,
     sorted_canonical_reference,
+    transposition_raises,
 )
 from strategies import graphs
 
@@ -516,7 +516,7 @@ def test_transposition_test_matches_string_comparison(g):
         swap = list(range(g.n))
         swap[a], swap[b] = b, a
         after = _upper_string(relabel(g, swap))
-        assert _transposition_raises(g.rows[a], g.rows[b], a, b) == (after > before)
+        assert transposition_raises(g.rows[a], g.rows[b], a, b) == (after > before)
     # with rows 0..v placed, the placed columns of two later neighbours
     # decide their swap whenever they differ
     for v in range(g.n):
@@ -524,7 +524,7 @@ def test_transposition_test_matches_string_comparison(g):
         for w in range(v + 1, g.n - 1):
             rw, rx = g.rows[w] & placed, g.rows[w + 1] & placed
             if rw != rx:
-                assert _transposition_raises(rw, rx, w, w + 1) == _transposition_raises(
+                assert transposition_raises(rw, rx, w, w + 1) == transposition_raises(
                     g.rows[w], g.rows[w + 1], w, w + 1
                 )
 
@@ -558,7 +558,7 @@ def test_mask_rule_and_placed_swap_helper_match_the_per_pair_calls(state):
     rows, v, cm = state
     n = len(rows)
     assert not any(
-        _transposition_raises(rows[w], rows[w + 1], w, w + 1) for w in range(v + 1, n - 1)
+        transposition_raises(rows[w], rows[w + 1], w, w + 1) for w in range(v + 1, n - 1)
     )
     tied = sum(1 << w for w in range(v + 2, n) if rows[w] == rows[w - 1])
     after = list(rows)
@@ -566,10 +566,10 @@ def test_mask_rule_and_placed_swap_helper_match_the_per_pair_calls(state):
     for w in bits(cm):
         after[w] |= 1 << v
     assert bool(tied & cm & ~(cm << 1)) == any(
-        _transposition_raises(after[w], after[w + 1], w, w + 1) for w in range(v + 1, n - 1)
+        transposition_raises(after[w], after[w + 1], w, w + 1) for w in range(v + 1, n - 1)
     )
     assert _placed_swap_raises(rows, after[v], v) == any(
-        _transposition_raises(rows[a], after[v], a, v) for a in range(v)
+        transposition_raises(rows[a], after[v], a, v) for a in range(v)
     )
     if v:
         assert _common_neighbours_raise(after, v) == common_neighbours_raise_reference(after, v)
@@ -599,7 +599,7 @@ def test_maximal_labeling_survives_the_generic_pruning():
                 h = _maximal_labeling(g)
                 assert h.rows[0] == sum(1 << w for w in range(1, k + 1))
                 assert not any(
-                    _transposition_raises(h.rows[a], h.rows[b], a, b)
+                    transposition_raises(h.rows[a], h.rows[b], a, b)
                     for a, b in combinations(range(n), 2)
                 )
                 # the common-neighbour counts both rules bound by c(0, 1) and c(1, 2)
