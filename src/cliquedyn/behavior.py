@@ -52,6 +52,9 @@ class Limits:
     max_cliques and max_vertices bounds each clique enumeration and no
     iterate past max_vertices is built. Such a stop is labelled
     "clique-cap" if max_cliques <= max_vertices, else "vertex-cap".
+    A cap can trip before any clique is listed: an induced octahedron
+    O_t with 2^t past the cap proves that many maximal cliques, so the
+    stop is the one the full enumeration would reach.
     """
 
     max_iterations: int = 30

@@ -6,10 +6,16 @@ candidates adjacent to all the other candidates join the clique without
 a branch. A configurable cap converts runaway clique counts (typical for
 iterated clique graphs of divergent inputs) into a CliqueLimitError
 instead of an unbounded run.
+
+The cap can trip before any clique is listed: each of the 2^t maximal
+cliques of an induced octahedron O_t extends to its own maximal clique
+of the graph (Moon and Moser, 1965), so an induced O_t with 2^t > cap
+proves the raise. Iterates of divergent graphs carry large octahedra,
+since K(O_m) is O_{2^(m-1)} (Neumann-Lara, 1978).
 """
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, bits, mask_of
 
 DEFAULT_CLIQUE_CAP = 2_000_000
 
@@ -41,6 +47,8 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
     out: list[int] = []
     if g.n == 0:
         return ()
+    if _octahedron_pairs(g, cap.bit_length()) is not None:
+        raise CliqueLimitError(cap)
     # frames (R, P, X, branches left) hold untried siblings only: a node
     # descends into its lowest branch at once; one frame per clique vertex
     stack: list[tuple[int, int, int, int]] = []
@@ -105,8 +113,43 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
     # distinct maximal cliques are never nested, so the lowest vertex
     # where two differ lies in the one whose sorted tuple comes first:
     # the bit strings read from vertex 0 up, descending, give that order
-    out.sort(key=lambda m: format(m, f"0{g.n}b")[::-1], reverse=True)
+    # (bin's unpadded string decides at that vertex, before either ends)
+    out.sort(key=lambda m: bin(m)[::-1], reverse=True)
     return tuple(out)
+
+
+def _octahedron_pairs(g: Graph, t: int) -> list[tuple[int, int]] | None:
+    """t disjoint non-adjacent pairs, each adjacent to all the others, or None.
+
+    Such pairs induce O_t. The search is greedy and may miss one: each
+    pair comes from `alive`, the common neighbours of the pairs before
+    it, seeded at the vertex with fewest alive non-neighbours, with the
+    partner that keeps most of `alive`. A vertex of an induced O_t has
+    degree 2t - 2 to n - 2, so only those start alive.
+    """
+    n, rows = g.n, g.rows
+    if n < 2 * t:
+        return None
+    alive = mask_of(v for v, row in enumerate(rows) if 2 * t - 2 <= row.bit_count() <= n - 2)
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < t:
+        if alive.bit_count() < 2 * (t - len(pairs)):
+            return None
+        # alive & ~row counts the vertex itself: 2 is one non-neighbour
+        a, fewest = -1, n + 1
+        for v in bits(alive):
+            c = (alive & ~rows[v]).bit_count()
+            if 1 < c < fewest:
+                a, fewest = v, c
+                if c == 2:
+                    break
+        if a < 0:
+            return None
+        keep = alive & rows[a]
+        b = max(bits(alive & ~rows[a] & ~(1 << a)), key=lambda v: (keep & rows[v]).bit_count())
+        pairs.append((a, b))
+        alive = keep & rows[b]
+    return pairs
 
 
 def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[Graph, tuple[int, ...]]:

@@ -3,7 +3,8 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquedyn import (
     CliqueLimitError,
@@ -15,9 +16,11 @@ from cliquedyn import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    join,
     maximal_cliques,
     mask_of,
     octahedron,
+    relabel,
 )
 from cliquedyn import behavior, cliques
 from cliquedyn.census import ALL_CHECKS, run_census
@@ -25,6 +28,17 @@ from cliquedyn.regular import RegularGenSpec
 
 from oracles import bron_kerbosch_reference
 from strategies import graphs
+
+
+def assert_induces_octahedron(g: Graph, pairs, t: int) -> None:
+    """t disjoint non-adjacent pairs, every cross pair adjacent, by has_edge alone."""
+    assert len(pairs) == t
+    verts = [v for pair in pairs for v in pair]
+    assert len(set(verts)) == 2 * t and all(0 <= v < g.n for v in verts)
+    for i, (a, b) in enumerate(pairs):
+        assert not g.has_edge(a, b)
+        for c, d in pairs[:i]:
+            assert all(g.has_edge(u, v) for u in (a, b) for v in (c, d))
 
 
 def naive_maximal_cliques(g: Graph) -> set[int]:
@@ -143,19 +157,71 @@ def test_matches_reference_on_every_cubic_10_census_iterate(monkeypatch):
     monkeypatch.setattr(behavior, "maximal_cliques", recording)
     run_census(RegularGenSpec(3, 10), ALL_CHECKS, Limits(15, 400, 40_000))
     monkeypatch.undo()
-    capped = 0
+    capped = screened = 0
     for g, cap in calls:
+        pairs = cliques._octahedron_pairs(g, cap.bit_length())
         try:
             expected = bron_kerbosch_reference(g, cap)
         except CliqueLimitError:
             capped += 1
+            if pairs is not None:
+                # the octahedron screen raises these before enumerating
+                assert_induces_octahedron(g, pairs, cap.bit_length())
+                screened += 1
             with pytest.raises(CliqueLimitError) as err:
                 maximal_cliques(g, cap)
             assert err.value.cap == cap
             continue
+        assert pairs is None
         assert maximal_cliques(g, cap) == expected
-    assert len(calls) > 60 and capped >= 10
+    assert len(calls) > 60 and capped >= 10 and screened >= 4
     assert max(g.n for g, _ in calls) > 200
+
+
+def test_planted_octahedron_trips_the_cap_exactly_at_its_clique_count():
+    # O_t has 2^t maximal cliques, and O_t joined to H has 2^t times H's:
+    # the screen raises below 2^t and leaves the outcome to enumeration at it
+    rng = random.Random(23)
+    for t in range(1, 8):
+        perm = list(range(2 * t))
+        rng.shuffle(perm)
+        h_n = rng.randrange(1, 7)
+        h = Graph.from_edges(h_n, [(u, v) for u in range(h_n) for v in range(u + 1, h_n) if rng.random() < 0.8])
+        planted = relabel(octahedron(t), perm)
+        for g in (planted, join(octahedron(t), h)):
+            assert_induces_octahedron(g, cliques._octahedron_pairs(g, t), t)
+            with pytest.raises(CliqueLimitError) as err:
+                maximal_cliques(g, cap=(1 << t) - 1)
+            assert err.value.cap == (1 << t) - 1
+            try:
+                expected = bron_kerbosch_reference(g, 1 << t)
+            except CliqueLimitError:
+                with pytest.raises(CliqueLimitError):
+                    maximal_cliques(g, cap=1 << t)
+            else:
+                assert maximal_cliques(g, cap=1 << t) == expected
+        assert len(maximal_cliques(planted, cap=1 << t)) == 1 << t
+
+
+@st.composite
+def dense_graphs_and_caps(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    p = draw(st.sampled_from((0.7, 0.8, 0.9)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    return g, draw(st.integers(min_value=1, max_value=100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_graphs_and_caps())
+def test_octahedron_screen_fires_only_past_the_cap(case):
+    g, cap = case
+    pairs = cliques._octahedron_pairs(g, cap.bit_length())
+    if pairs is None:
+        return
+    assert_induces_octahedron(g, pairs, cap.bit_length())
+    with pytest.raises(CliqueLimitError):
+        bron_kerbosch_reference(g, cap)
 
 
 def test_order_and_clique_graph_match_reference_on_random_graphs():
