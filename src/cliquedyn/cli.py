@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     generation.add_argument("--connected", action="store_true")
     generation.add_argument("--random", action="store_true", help="sample instead of exhausting")
     generation.add_argument("--seed", type=int, default=0)
-    generation.add_argument("--ceiling", type=int, default=None, help="exhaustive order ceiling override")
+    generation.add_argument("--ceiling", type=int, default=None,
+                            help="exhaustive order ceiling override, at most 20")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[report, limits], help="analyze one graph")

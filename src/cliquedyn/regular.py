@@ -2,11 +2,9 @@
 
 Exhaustive enumeration dispatches by degree:
 
-  * k = 0 and k = 1 are single classes,
-  * k = 2 graphs are disjoint unions of cycles, one class per partition
-    of n into parts >= 3,
+  * k = 0 is the single class E_n,
   * k > (n-1)/2, k = n-1 included, is enumerated through complements,
-  * every other degree, cubic included, uses row-by-row backtracking
+  * every other degree, from 1 up, uses row-by-row backtracking
     that drops a partial graph once a swap of two vertices that its
     placed rows already decide would give a larger upper-triangle
     string, or once a placed pair has more common neighbours than the
@@ -33,19 +31,17 @@ from itertools import combinations
 
 from . import graph6
 from .canon import canonical_graph
-from .graphs import (
-    Graph,
-    complement,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    is_connected,
-    matching_graph,
-)
+from .graphs import Graph, complement, empty_graph, is_connected
 
-CUBIC_CEILING_DEFAULT = 14
-GENERIC_CEILING_DEFAULT = 11
-CUBIC_CEILING_MAX = 20
+# An exhaustive route of degree d >= 3 stops at n = 2 * EDGE_CEILING // d
+# by default: cubic at 14, 4-regular at 11. Cold class lists, CPU on a
+# shared 2-vCPU VM under Python 3.11, two runs each: the last orders
+# allowed take (3, 14), 21 edges, 0.8-1.3 s and (4, 11), 22 edges,
+# 0.2-0.4 s; the first refused, 24 edges each, take (3, 16) 8.7-10.0 s
+# and (4, 12) 1.8-2.5 s. An explicit ceiling replaces the default, and
+# ORDER_CEILING_MAX caps both, since the generator keeps every leaf.
+EDGE_CEILING = 22
+ORDER_CEILING_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -209,8 +205,10 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
     Exhaustive mode yields exactly one canonically labeled representative
     per isomorphism class, sorted by graph6 string. Random mode yields
     `count` seeded samples (classes may repeat). Unsatisfiable degree
-    specs warn and yield nothing. An exhaustive order past its degree's
-    ceiling (cubic or generic, after the complement flip) raises
+    specs warn and yield nothing. For the degree d the route enumerates
+    (k or n - 1 - k, whichever is smaller), an exhaustive order n with
+    d >= 3 is refused past its ceiling: by default n * d / 2 <= 22 edges,
+    or `ceiling` when given, and never past n = 20. A refusal raises
     ValueError on the first `next`.
     """
     if not spec.satisfiable():
@@ -222,15 +220,13 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
         graphs = (random_regular(spec.k, spec.n, seed=spec.seed + i) for i in range(spec.count))
     else:
         d = min(spec.k, spec.n - 1 - spec.k)  # degree the route enumerates
-        if d == 3:
-            lid = CUBIC_CEILING_DEFAULT if ceiling is None else min(ceiling, CUBIC_CEILING_MAX)
-        else:
-            lid = GENERIC_CEILING_DEFAULT if ceiling is None else ceiling
-        if d >= 3 and spec.n > lid:
-            route = "cubic" if d == 3 else f"{d}-regular"
-            raise ValueError(
-                f"exhaustive {route} enumeration capped at n={lid} (requested {spec.n})"
-            )
+        if d >= 3:
+            lid = min(2 * EDGE_CEILING // d if ceiling is None else ceiling, ORDER_CEILING_MAX)
+            if spec.n > lid:
+                route = "cubic" if d == 3 else f"{d}-regular"
+                raise ValueError(
+                    f"exhaustive {route} enumeration capped at n={lid} (requested {spec.n})"
+                )
         graphs = _regular_classes(spec.k, spec.n)
     for g in graphs:
         if not spec.connected_only or is_connected(g):
@@ -251,31 +247,7 @@ def _regular_classes(k: int, n: int) -> tuple[Graph, ...]:
         return (empty_graph(n),)
     if 2 * k > n - 1:
         return _sorted_canonical(complement(g) for g in _regular_classes(n - 1 - k, n))
-    if k == 1:
-        return (canonical_graph(matching_graph(n // 2)),)
-    if k == 2:
-        return _sorted_canonical(
-            disjoint_union([cycle_graph(p) for p in part])
-            for part in _partitions_min_part(n, 3)
-        )
     return _sorted_canonical(_pruned_labeled_regular(n, k))
-
-
-def _partitions_min_part(n: int, min_part: int):
-    """Partitions of n into parts >= min_part, descending, lex order."""
-
-    def rec(rest: int, cap: int, acc: list[int]):
-        if rest == 0:
-            yield tuple(acc)
-            return
-        top = min(cap, rest)
-        for p in range(top, min_part - 1, -1):
-            if rest - p == 0 or rest - p >= min_part:
-                acc.append(p)
-                yield from rec(rest - p, p, acc)
-                acc.pop()
-
-    yield from rec(n, n, [])
 
 
 # -- generic degrees: pruned row-by-row backtracking -------------------------

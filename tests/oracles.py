@@ -3,16 +3,18 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Six are the library's earlier loops, kept as they were when
-faster ones replaced them: plain pivoting Bron-Kerbosch, partition
+one. Seven are the library's earlier loops, kept as they were when
+other code replaced them: plain pivoting Bron-Kerbosch, partition
 refinement that counts every vertex into every splitter, the triangle
 count that walks neighbours with `bits`, the divergence screen that
 builds the full join decomposition of every graph, the class list step
-that runs one full canonical search per labeled graph, and the generic
-regular route that tests every swap with its own call. The cubic
-expansion closure at the end is not brute force either: it is a second
-exhaustive cubic route, built from the 2-edge reduction theorem rather
-than from labelings.
+that runs one full canonical search per labeled graph, the generic
+regular route that tests every swap with its own call, and the degree
+1 and 2 class lists built from their structure: one perfect matching,
+and one union of cycles per partition of n. The cubic expansion closure
+at the end is not brute force either: it is a second exhaustive cubic
+route, built from the 2-edge reduction theorem rather than from
+labelings.
 """
 from collections import Counter
 from itertools import combinations, permutations
@@ -27,11 +29,15 @@ from cliquedyn import (
     bits,
     canonical_graph,
     complement,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
     encode,
     find_coaffination,
     is_connected,
     join_summands,
     mask_of,
+    matching_graph,
     maximal_cliques,
     triangle_count,
 )
@@ -279,6 +285,48 @@ def sorted_canonical_reference(graphs) -> tuple[Graph, ...]:
         cg = canonical_graph(g)
         by_form[encode(cg)] = cg
     return tuple(by_form[s] for s in sorted(by_form))
+
+
+def _partitions_min_part(n: int, min_part: int):
+    """Partitions of n into parts >= min_part, descending, lex order."""
+
+    def rec(rest: int, cap: int, acc: list[int]):
+        if rest == 0:
+            yield tuple(acc)
+            return
+        top = min(cap, rest)
+        for p in range(top, min_part - 1, -1):
+            if rest - p == 0 or rest - p >= min_part:
+                acc.append(p)
+                yield from rec(rest - p, p, acc)
+                acc.pop()
+
+    yield from rec(n, n, [])
+
+
+def low_degree_classes_reference(k: int, n: int) -> tuple[Graph, ...]:
+    """The k-regular class list on n vertices when k or n - 1 - k is at most 2.
+
+    Built from the structure of the sparse side, d = min(k, n - 1 - k):
+    E_n for d = 0, the perfect matching for d = 1, and for d = 2 one
+    union of cycles per partition of n into parts >= 3. Complements give
+    the dense side, and `sorted_canonical_reference` the sorted list.
+    """
+    d = min(k, n - 1 - k)
+    if d == 0:
+        graphs = [empty_graph(n)]
+    elif d == 1:
+        graphs = [matching_graph(n // 2)]
+    elif d == 2:
+        graphs = [
+            disjoint_union([cycle_graph(p) for p in part])
+            for part in _partitions_min_part(n, 3)
+        ]
+    else:
+        raise ValueError(f"no structural class list for degree {d}")
+    if d != k:
+        graphs = [complement(g) for g in graphs]
+    return sorted_canonical_reference(graphs)
 
 
 def enumerate_regular_brute(k: int, n: int, max_n: int = 8) -> list[Graph]:

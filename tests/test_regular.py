@@ -26,7 +26,6 @@ from cliquedyn.canon import canonical_graph
 from cliquedyn.regular import (
     RegularGenSpec,
     _common_neighbours_raise,
-    _partitions_min_part,
     _placed_swap_raises,
     _pruned_labeled_regular,
     _regular_classes,
@@ -36,10 +35,12 @@ from cliquedyn.regular import (
 
 import oracles
 from oracles import (
+    _partitions_min_part,
     common_neighbours_raise_reference,
     edge_insert,
     enumerate_regular_brute,
     irreducible_cubic_connected,
+    low_degree_classes_reference,
     pruned_labeled_regular_reference,
     sorted_canonical_reference,
     transposition_raises,
@@ -62,11 +63,22 @@ def test_cubic_small_counts():
     assert len(conn6) == 2
 
 
-def test_two_regular_partition_counts():
-    # one class per partition of n into cycle lengths >= 3
-    expected = {3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 4}
-    for n, count in expected.items():
-        assert len(classes(2, n)) == count
+def test_low_degree_class_lists_match_the_structural_reference(cold_class_cache):
+    # the matching and one union of cycles per partition of n, byte for
+    # byte against the generic route; their complements, which take the
+    # same flip as every other degree and are the dearest to canonize,
+    # up to n = 14
+    cache = cold_class_cache()
+    for n in range(3, 21):
+        for k in sorted({1, 2} | ({n - 2, n - 3} if n <= 14 else set())):
+            if RegularGenSpec(k, n).satisfiable():
+                got = [encode(g) for g in cache(k, n)]
+                assert got == [encode(g) for g in low_degree_classes_reference(k, n)], (k, n)
+
+
+@pytest.mark.parametrize("n,leaves", [(12, 12), (16, 46), (20, 189)])
+def test_two_regular_leaf_counts_are_pinned(n, leaves):
+    assert len(_pruned_labeled_regular(n, 2)) == leaves
 
 
 def test_two_regular_n9_members():
@@ -126,12 +138,39 @@ def test_ceiling_is_checked_once_per_request(cold_class_cache):
         next(enumerate_regular(RegularGenSpec(k=5, n=10), ceiling=9))
     with pytest.raises(ValueError, match=r"^exhaustive 4-regular enumeration capped at n=11 \(requested 12\)$"):
         next(enumerate_regular(RegularGenSpec(k=4, n=12)))
-    # an explicit cubic ceiling is clamped to CUBIC_CEILING_MAX
+    # an explicit cubic ceiling is clamped to ORDER_CEILING_MAX
     with pytest.raises(ValueError, match=r"^exhaustive cubic enumeration capped at n=20 \(requested 22\)$"):
         next(enumerate_regular(RegularGenSpec(k=3, n=22), ceiling=30))
     # K_n comes through the complement route, as every k > (n - 1) / 2 does
     for n in list(range(1, 9)) + [16, 30]:
         assert list(enumerate_regular(RegularGenSpec(k=n - 1, n=n))) == [complete_graph(n)]
+
+
+def test_ceiling_rule_decides_without_generating(monkeypatch):
+    # nothing is generated, so every decision is the rule's alone
+    monkeypatch.setattr(regular, "_regular_classes", lambda k, n: ())
+
+    def refused(k, n, ceiling=None):
+        try:
+            list(enumerate_regular(RegularGenSpec(k, n), ceiling))
+        except ValueError:
+            return True
+        return False
+
+    # by default cubic stops at 14 and every other degree from 4 up at 11
+    for n in range(1, 46):
+        for k in range(n):
+            if RegularGenSpec(k, n).satisfiable():
+                d = min(k, n - 1 - k)
+                assert refused(k, n) == (d >= 3 and n > (14 if d == 3 else 11)), (k, n)
+    # an explicit ceiling holds up to 20 and is cut there
+    for ceiling in range(4, 31):
+        for n in range(7, 31):
+            for k in {3, 4, n - 4, n - 5}:
+                if RegularGenSpec(k, n).satisfiable() and min(k, n - 1 - k) >= 3:
+                    assert refused(k, n, ceiling) == (n > min(ceiling, 20)), (k, n, ceiling)
+    with pytest.raises(ValueError, match=r"^exhaustive 4-regular enumeration capped at n=20 \(requested 22\)$"):
+        next(enumerate_regular(RegularGenSpec(4, 22), ceiling=30))
 
 
 def test_ceiling_is_enforced():
