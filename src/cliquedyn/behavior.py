@@ -54,7 +54,9 @@ class Limits:
     "clique-cap" if max_cliques <= max_vertices, else "vertex-cap".
     A cap can trip before any clique is listed: an induced octahedron
     O_t with 2^t past the cap proves that many maximal cliques, so the
-    stop is the one the full enumeration would reach.
+    stop is the one the full enumeration would reach. The search for one
+    is greedy (two passes, see `cliques`); where it misses, the
+    enumeration runs to the cap.
     """
 
     max_iterations: int = 30

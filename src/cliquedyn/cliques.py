@@ -11,13 +11,19 @@ The cap can trip before any clique is listed: each of the 2^t maximal
 cliques of an induced octahedron O_t extends to its own maximal clique
 of the graph (Moon and Moser, 1965), so an induced O_t with 2^t > cap
 proves the raise. Iterates of divergent graphs carry large octahedra,
-since K(O_m) is O_{2^(m-1)} (Neumann-Lara, 1978).
+since K(O_m) is O_{2^(m-1)} (Neumann-Lara, 1978). The search for one is
+greedy, one seed per step and then four, and a miss leaves the raise
+to the enumeration.
 """
 from __future__ import annotations
+
+from bisect import insort
 
 from .graphs import Graph, bits, mask_of
 
 DEFAULT_CLIQUE_CAP = 2_000_000
+# greedy octahedron search passes: seeds tried per step, in order
+OCTAHEDRON_WIDTHS = (1, 4)
 
 
 class CliqueLimitError(RuntimeError):
@@ -41,7 +47,8 @@ def maximal_cliques(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, ...]:
     reports the same cliques as plain pivoting Bron-Kerbosch, so the
     sorted output is the same, and CliqueLimitError is raised exactly
     when there are more than `cap` cliques. The pivot is the vertex of
-    the remaining P | X with most neighbours in P.
+    the remaining P | X with most neighbours in P. Before any node, an
+    induced O_t with 2^t > cap found by `_octahedron_pairs` raises at once.
     """
     rows = g.rows
     out: list[int] = []
@@ -123,33 +130,44 @@ def _octahedron_pairs(g: Graph, t: int) -> list[tuple[int, int]] | None:
 
     Such pairs induce O_t. The search is greedy and may miss one: each
     pair comes from `alive`, the common neighbours of the pairs before
-    it, seeded at the vertex with fewest alive non-neighbours, with the
-    partner that keeps most of `alive`. A vertex of an induced O_t has
-    degree 2t - 2 to n - 2, so only those start alive.
+    it. A pass of width w tries the best partner (the one that keeps
+    most of `alive`) of each of the w alive vertices with fewest alive
+    non-neighbours, and keeps the pair that keeps most; one pass per
+    width in OCTAHEDRON_WIDTHS, until one finds t pairs. A vertex of an
+    induced O_t has degree 2t - 2 to n - 2, so only those start alive.
     """
     n, rows = g.n, g.rows
     if n < 2 * t:
         return None
-    alive = mask_of(v for v, row in enumerate(rows) if 2 * t - 2 <= row.bit_count() <= n - 2)
-    pairs: list[tuple[int, int]] = []
-    while len(pairs) < t:
-        if alive.bit_count() < 2 * (t - len(pairs)):
-            return None
-        # alive & ~row counts the vertex itself: 2 is one non-neighbour
-        a, fewest = -1, n + 1
-        for v in bits(alive):
-            c = (alive & ~rows[v]).bit_count()
-            if 1 < c < fewest:
-                a, fewest = v, c
-                if c == 2:
-                    break
-        if a < 0:
-            return None
-        keep = alive & rows[a]
-        b = max(bits(alive & ~rows[a] & ~(1 << a)), key=lambda v: (keep & rows[v]).bit_count())
-        pairs.append((a, b))
-        alive = keep & rows[b]
-    return pairs
+    start = mask_of(v for v, row in enumerate(rows) if 2 * t - 2 <= row.bit_count() <= n - 2)
+    if start.bit_count() < 2 * t:
+        return None
+    for width in OCTAHEDRON_WIDTHS:
+        alive = start
+        pairs: list[tuple[int, int]] = []
+        while len(pairs) < t and alive.bit_count() >= 2 * (t - len(pairs)):
+            # (count, vertex), ascending; alive & ~row counts the vertex
+            # itself, so 2 is one non-neighbour and none can do better
+            seeds: list[tuple[int, int]] = []
+            for v in bits(alive):
+                c = (alive & ~rows[v]).bit_count()
+                if 1 < c and (len(seeds) < width or c < seeds[-1][0]):
+                    insort(seeds, (c, v))
+                    del seeds[width:]
+                    if len(seeds) == width and seeds[-1][0] == 2:
+                        break
+            if not seeds:
+                break
+            tried = []
+            for _, a in seeds:
+                keep = alive & rows[a]
+                tried.append((a, max(bits(alive & ~keep & ~(1 << a)), key=lambda v: (keep & rows[v]).bit_count())))
+            a, b = max(tried, key=lambda ab: (alive & rows[ab[0]] & rows[ab[1]]).bit_count())
+            pairs.append((a, b))
+            alive &= rows[a] & rows[b]
+        if len(pairs) == t:
+            return pairs
+    return None
 
 
 def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[Graph, tuple[int, ...]]:

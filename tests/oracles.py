@@ -3,15 +3,16 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Seven are the library's earlier loops, kept as they were when
-other code replaced them: plain pivoting Bron-Kerbosch, partition
-refinement that counts every vertex into every splitter, the triangle
-count that walks neighbours with `bits`, the divergence screen that
-builds the full join decomposition of every graph, the class list step
-that runs one full canonical search per labeled graph, the generic
-regular route that tests every swap with its own call, and the degree
-1 and 2 class lists built from their structure: one perfect matching,
-and one union of cycles per partition of n. The cubic expansion closure
+one. Eight are the library's earlier loops, kept as they were when
+other code replaced them: plain pivoting Bron-Kerbosch, the one-seed
+greedy octahedron search, partition refinement that counts every
+vertex into every splitter, the triangle count that walks neighbours
+with `bits`, the divergence screen that builds the full join
+decomposition of every graph, the class list step that runs one full
+canonical search per labeled graph, the generic regular route that
+tests every swap with its own call, and the degree 1 and 2 class lists
+built from their structure: one perfect matching, and one union of
+cycles per partition of n. The cubic expansion closure
 at the end is not brute force either: it is a second exhaustive cubic
 route, built from the 2-edge reduction theorem rather than from
 labelings.
@@ -138,6 +139,39 @@ def bron_kerbosch_reference(g: Graph, cap: int) -> tuple[int, ...]:
         r, p, x = r | vb, p & row, x & row
     out.sort(key=lambda m: tuple(bits(m)))
     return tuple(out)
+
+
+def octahedron_pairs_reference(g: Graph, t: int) -> list[tuple[int, int]] | None:
+    """t pairs inducing O_t by the one-seed greedy `_octahedron_pairs` had, or None.
+
+    Each pair comes from `alive`, the common neighbours of the pairs
+    before it, seeded at the vertex with fewest alive non-neighbours,
+    with the partner that keeps most of `alive`. Only vertices of degree
+    2t - 2 to n - 2 start alive.
+    """
+    n, rows = g.n, g.rows
+    if n < 2 * t:
+        return None
+    alive = mask_of(v for v, row in enumerate(rows) if 2 * t - 2 <= row.bit_count() <= n - 2)
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < t:
+        if alive.bit_count() < 2 * (t - len(pairs)):
+            return None
+        # alive & ~row counts the vertex itself: 2 is one non-neighbour
+        a, fewest = -1, n + 1
+        for v in bits(alive):
+            c = (alive & ~rows[v]).bit_count()
+            if 1 < c < fewest:
+                a, fewest = v, c
+                if c == 2:
+                    break
+        if a < 0:
+            return None
+        keep = alive & rows[a]
+        b = max(bits(alive & ~rows[a] & ~(1 << a)), key=lambda v: (keep & rows[v]).bit_count())
+        pairs.append((a, b))
+        alive = keep & rows[b]
+    return pairs
 
 
 def refine_reference(rows, cells: list[int], worklist: list[int]) -> list[int]:

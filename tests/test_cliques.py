@@ -13,8 +13,10 @@ from cliquedyn import (
     are_isomorphic,
     bits,
     clique_graph,
+    complement,
     complete_graph,
     cycle_graph,
+    decode,
     empty_graph,
     join,
     maximal_cliques,
@@ -26,7 +28,7 @@ from cliquedyn import behavior, cliques
 from cliquedyn.census import ALL_CHECKS, run_census
 from cliquedyn.regular import RegularGenSpec
 
-from oracles import bron_kerbosch_reference
+from oracles import bron_kerbosch_reference, octahedron_pairs_reference
 from strategies import graphs
 
 
@@ -160,6 +162,10 @@ def test_matches_reference_on_every_cubic_10_census_iterate(monkeypatch):
     capped = screened = 0
     for g, cap in calls:
         pairs = cliques._octahedron_pairs(g, cap.bit_length())
+        reference = octahedron_pairs_reference(g, cap.bit_length())
+        if reference is not None:
+            # the one-seed pass runs first and finds what it always found
+            assert pairs == reference
         try:
             expected = bron_kerbosch_reference(g, cap)
         except CliqueLimitError:
@@ -174,8 +180,22 @@ def test_matches_reference_on_every_cubic_10_census_iterate(monkeypatch):
             continue
         assert pairs is None
         assert maximal_cliques(g, cap) == expected
-    assert len(calls) > 60 and capped >= 10 and screened >= 4
+    assert len(calls) > 60 and capped == 15 and screened >= 8
     assert max(g.n for g, _ in calls) > 200
+
+
+@pytest.mark.parametrize("g6,steps,order", [("I{Og_cI@W", 4, 332), ("I{OWp?D?w", 3, 226)])
+def test_wide_pass_finds_the_octahedron_the_one_seed_greedy_misses(g6, steps, order):
+    # the 332- and 226-vertex iterates of the cubic n = 10 census, which
+    # the SCAN cap of 400 cliques stops: only the width-4 pass proves it
+    g = complement(decode(g6))
+    for _ in range(steps):
+        g, _ = clique_graph(g)
+    assert g.n == order
+    assert octahedron_pairs_reference(g, 9) is None
+    assert_induces_octahedron(g, cliques._octahedron_pairs(g, 9), 9)
+    with pytest.raises(CliqueLimitError):
+        maximal_cliques(g, cap=400)
 
 
 def test_planted_octahedron_trips_the_cap_exactly_at_its_clique_count():
@@ -217,6 +237,9 @@ def dense_graphs_and_caps(draw):
 def test_octahedron_screen_fires_only_past_the_cap(case):
     g, cap = case
     pairs = cliques._octahedron_pairs(g, cap.bit_length())
+    reference = octahedron_pairs_reference(g, cap.bit_length())
+    if reference is not None:
+        assert pairs == reference
     if pairs is None:
         return
     assert_induces_octahedron(g, pairs, cap.bit_length())

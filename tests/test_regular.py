@@ -125,11 +125,17 @@ def cold_class_cache(monkeypatch):
     return install
 
 
-def test_ceiling_is_checked_once_per_request(cold_class_cache):
+def test_ceiling_is_checked_once_per_request(cold_class_cache, monkeypatch):
     cache = cold_class_cache()
     spec = RegularGenSpec(k=4, n=9)
     assert list(enumerate_regular(spec, ceiling=9)) == list(enumerate_regular(spec))
     assert cache.cache_info().currsize == 1
+    # K_n comes through the complement route, as every k > (n - 1) / 2 does
+    for n in list(range(1, 9)) + [16, 30]:
+        assert list(enumerate_regular(RegularGenSpec(k=n - 1, n=n))) == [complete_graph(n)]
+    # nothing is generated past here, so a request the rule lets through
+    # stops at once instead of running a large enumeration
+    monkeypatch.setattr(regular, "_regular_classes", lambda k, n: ())
     # the route's degree sets the ceiling, and the error waits for the first next
     late = enumerate_regular(RegularGenSpec(k=12, n=16))
     with pytest.raises(ValueError, match=r"^exhaustive cubic enumeration capped at n=14 \(requested 16\)$"):
@@ -141,9 +147,6 @@ def test_ceiling_is_checked_once_per_request(cold_class_cache):
     # an explicit cubic ceiling is clamped to ORDER_CEILING_MAX
     with pytest.raises(ValueError, match=r"^exhaustive cubic enumeration capped at n=20 \(requested 22\)$"):
         next(enumerate_regular(RegularGenSpec(k=3, n=22), ceiling=30))
-    # K_n comes through the complement route, as every k > (n - 1) / 2 does
-    for n in list(range(1, 9)) + [16, 30]:
-        assert list(enumerate_regular(RegularGenSpec(k=n - 1, n=n))) == [complete_graph(n)]
 
 
 def test_ceiling_rule_decides_without_generating(monkeypatch):
@@ -173,13 +176,16 @@ def test_ceiling_rule_decides_without_generating(monkeypatch):
         next(enumerate_regular(RegularGenSpec(4, 22), ceiling=30))
 
 
-def test_ceiling_is_enforced():
+def test_ceiling_is_enforced(monkeypatch):
+    # explicit override allows it (kept tiny here: n=16 would be slow)
+    assert len(list(enumerate_regular(RegularGenSpec(k=4, n=9), ceiling=9))) == 16
+    # the refusals are the rule's alone: with nothing generated, a request
+    # the rule let through would return at once instead of raising
+    monkeypatch.setattr(regular, "_regular_classes", lambda k, n: ())
     with pytest.raises(ValueError):
         classes(4, 12)
     with pytest.raises(ValueError):
         classes(3, 16)  # default cubic ceiling is 14
-    # explicit override allows it (kept tiny here: n=16 would be slow)
-    assert len(list(enumerate_regular(RegularGenSpec(k=4, n=9), ceiling=9))) == 16
 
 
 @pytest.mark.parametrize("k,n", [(3, 4), (3, 6), (1, 6), (2, 7), (2, 8), (4, 7)])
