@@ -376,14 +376,21 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
     return result("unknown", limits.max_iterations, limit="iteration-cap")
 
 
-def clique_count(g: Graph, result: BehaviorResult, limits: Limits) -> int:
-    """Number of maximal cliques of g, where result = classify_behavior(g, limits).
+def clique_count(g: Graph, result: BehaviorResult, limits: Limits) -> int | None:
+    """Number of maximal cliques of g, or None past limits.max_cliques.
 
-    Iterate 1, when the trace has it, has one vertex per clique of g and
-    was enumerated under a cap no larger than limits.max_cliques, so its
-    order is the count. Only a shorter trace enumerates g again, which
-    raises CliqueLimitError past limits.max_cliques.
+    result must be classify_behavior(g, limits). Iterate 1, when the
+    trace has it, has one vertex per clique of g, enumerated under a cap
+    no larger than limits.max_cliques, so its order is the count. A
+    clique-cap stop at iterate 0 already ran that enumeration under
+    limits.max_cliques and raised, so it gives None at once; any other
+    shorter trace enumerates g once.
     """
     if len(result.trace) >= 2:
         return result.trace[1].order
-    return len(maximal_cliques(g, cap=limits.max_cliques))
+    if result.limit == "clique-cap":
+        return None
+    try:
+        return len(maximal_cliques(g, cap=limits.max_cliques))
+    except CliqueLimitError:
+        return None

@@ -18,7 +18,6 @@ from . import graph6
 from .behavior import DEFAULT_LIMITS, Limits, classify_behavior, clique_count
 from .bounds import cotriangle_adjacency_profile, triangle_sum_rhs, vertex_cotriangle_cap
 from .canon import are_isomorphic
-from .cliques import CliqueLimitError
 from .graphs import complement, complete_bipartite, connected_components, induced, mask_of
 from .helly import check_cotriangle_cover, is_helly, triangle_count
 from .regular import RegularGenSpec, enumerate_regular
@@ -77,10 +76,7 @@ def _record_for_graph(task: tuple) -> dict:
     if "behavior" in checks:
         result = classify_behavior(co, limits)
         rec["behavior"] = result.to_json()
-        try:
-            counts["complement_cliques"] = clique_count(co, result, limits)
-        except CliqueLimitError:
-            counts["complement_cliques"] = None
+        counts["complement_cliques"] = clique_count(co, result, limits)
     if "triangle-sum" in checks:
         rec["triangle_sum_ok"] = (
             counts["triangles"] + counts["cotriangles"] == triangle_sum_rhs(g.n, k)

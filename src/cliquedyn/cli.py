@@ -37,7 +37,7 @@ from .graphs import (
     octahedron,
 )
 from .helly import is_helly
-from .regular import RegularGenSpec, enumerate_regular
+from .regular import ORDER_CEILING_MAX, RegularGenSpec, enumerate_regular
 
 EXIT_OK = 0
 EXIT_NO_HIT = 1
@@ -176,11 +176,9 @@ def cmd_analyze(args) -> int:
     }
     code = EXIT_OK
     result = classify_behavior(g, limits)
-    try:
-        doc["clique_count"] = clique_count(g, result, limits)
-    except CliqueLimitError as exc:
-        doc["clique_count"] = None
-        doc["clique_count_note"] = str(exc)
+    doc["clique_count"] = clique_count(g, result, limits)
+    if doc["clique_count"] is None:
+        doc["clique_count_note"] = str(CliqueLimitError(limits.max_cliques))
         code = EXIT_RESOURCE
     verdict = is_helly(g)
     doc["helly"] = {
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     generation.add_argument("--random", action="store_true", help="sample instead of exhausting")
     generation.add_argument("--seed", type=int, default=0)
     generation.add_argument("--ceiling", type=int, default=None,
-                            help="exhaustive order ceiling override, at most 20")
+                            help=f"exhaustive order ceiling override, at most {ORDER_CEILING_MAX}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[report, limits], help="analyze one graph")

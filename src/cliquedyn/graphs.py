@@ -63,12 +63,13 @@ class Graph:
 
     @classmethod
     def from_upper_bits(cls, n: int, packed: int) -> "Graph":
-        """Build from row-major upper-triangle bits; bit 0 is pair (0,1)."""
+        """Build from row-major upper-triangle bits, pair (0, 1) in the top
+        bit n(n - 1)/2 - 1 and pair (n - 2, n - 1) in bit 0."""
         rows = [0] * n
         pos = n * (n - 1) // 2 - 1
         for i in range(n):
             for j in range(i + 1, n):
-                if pos >= 0 and (packed >> pos) & 1:
+                if (packed >> pos) & 1:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
                 pos -= 1

@@ -208,9 +208,12 @@ def enumerate_regular(spec: RegularGenSpec, ceiling: int | None = None):
     specs warn and yield nothing. For the degree d the route enumerates
     (k or n - 1 - k, whichever is smaller), an exhaustive order n with
     d >= 3 is refused past its ceiling: by default n * d / 2 <= 22 edges,
-    or `ceiling` when given, and never past n = 20. A refusal raises
-    ValueError on the first `next`.
+    or `ceiling` when given, and never past n = 20. A ceiling below 1 is
+    refused for every degree and mode. A refusal raises ValueError on the
+    first `next`.
     """
+    if ceiling is not None and ceiling < 1:
+        raise ValueError(f"ceiling must be positive, got {ceiling}")
     if not spec.satisfiable():
         warnings.warn(
             f"no {spec.k}-regular graphs on {spec.n} vertices exist", stacklevel=2

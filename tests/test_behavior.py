@@ -32,6 +32,8 @@ from cliquedyn import (
     relabel,
     triangle_count,
 )
+from cliquedyn import behavior
+from cliquedyn.behavior import clique_count
 from cliquedyn.graph6 import decode
 
 from oracles import divergence_certificate_reference, triangle_count_reference
@@ -251,6 +253,24 @@ def test_vertex_cap_stops_before_building_the_iterate():
     r = classify_behavior(g, limits)
     assert r.status == "unknown" and r.limit == "vertex-cap"
     assert r.max_order_seen <= limits.max_vertices
+
+
+def test_clique_cap_at_iterate_zero_is_not_enumerated_again(monkeypatch):
+    # C7-bar has 7 maximal cliques; the cap of 3 stops iterate 0 as a clique-cap
+    g = complement(cycle_graph(7))
+    limits = Limits(5, 10, 3)
+    r = classify_behavior(g, limits)
+    assert r.status == "unknown" and r.limit == "clique-cap" and len(r.trace) == 1
+    calls = []
+    real = behavior.maximal_cliques
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(behavior, "maximal_cliques", counting)
+    assert clique_count(g, r, limits) is None
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

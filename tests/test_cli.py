@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cliquedyn import are_isomorphic, complete_graph, cycle_graph, octahedron
-from cliquedyn.cli import main, parse_graph_expression
+from cliquedyn import are_isomorphic, complete_graph, cycle_graph, octahedron, regular
+from cliquedyn.cli import build_parser, main, parse_graph_expression
 from cliquedyn.graph6 import encode
 from cliquedyn.regular import RegularGenSpec, enumerate_regular
 
@@ -53,6 +56,27 @@ def test_analyze_graph6_string(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["order"] == 4 and out["clique_count"] == 1
+
+
+def test_analyze_capped_clique_count_is_null_with_a_note(capsys):
+    argv = ["analyze", "complement(cycle 7)", "--limit-cliques", "3", "--limit-vertices", "10", "--format", "json"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "behavior": {
+            "iterations_done": 0,
+            "limit": "clique-cap",
+            "max_order_seen": 7,
+            "status": "unknown",
+            "trace": [[7, 14, "~fca5637dab4"]],
+        },
+        "clique_count": None,
+        "clique_count_note": "maximal clique count exceeded the cap of 3",
+        "degrees": {"max": 4, "min": 4, "regular": 4},
+        "edges": 14,
+        "helly": {"is_helly": True, "witness": None},
+        "input": "complement(cycle 7)",
+        "order": 7,
+    }
 
 
 def test_analyze_finds_the_constructor_name_before_any_whitespace(capsys):
@@ -165,6 +189,12 @@ def test_gen_cli(tmp_path, capsys):
     assert main(["gen", "-k", "4", "-n", "40"]) == 2  # ceiling exceeded
 
 
+def test_gen_cli_refuses_a_ceiling_below_one(monkeypatch, capsys):
+    monkeypatch.setattr(regular, "_regular_classes", lambda k, n: ())
+    assert main(["gen", "-k", "3", "-n", "8", "--ceiling", "-1"]) == 2
+    assert capsys.readouterr().err == "gen error: ceiling must be positive, got -1\n"
+
+
 def test_gen_cli_without_graphs_writes_nothing(tmp_path, capsys):
     out_path = tmp_path / "none.g6"
     with pytest.warns(UserWarning, match="no 3-regular graphs on 7 vertices"):
@@ -216,3 +246,23 @@ def test_search_random_budget_is_the_sample_count(capsys):
     argv = ["-k", "1", "-n", "4", "--random", "--target", "helly-complement"]
     assert len(_search_hits(argv, capsys)[1]) == 1000
     assert len(_search_hits(argv + ["--budget", "1200"], capsys)[1]) == 1200
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["cliquedyn"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    # parses every `cliquedyn ...` line of the README's sh blocks; runs none
+    commands = _readme_cli_commands()
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

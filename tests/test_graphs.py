@@ -215,3 +215,12 @@ def test_union_complement_join_identity(g, h):
 def test_bits_mask_roundtrip():
     assert list(bits(mask_of([0, 3, 5]))) == [0, 3, 5]
     assert mask_of([]) == 0
+
+
+def test_from_upper_bits_reads_pair_0_1_from_the_top_bit():
+    assert list(Graph.from_upper_bits(3, 0b100).edges()) == [(0, 1)]
+    assert list(Graph.from_upper_bits(3, 0b010).edges()) == [(0, 2)]
+    assert list(Graph.from_upper_bits(3, 0b001).edges()) == [(1, 2)]
+    # row-major pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) from bit 5 down
+    assert list(Graph.from_upper_bits(4, 0b100001).edges()) == [(0, 1), (2, 3)]
+    assert list(Graph.from_upper_bits(4, 0b001100).edges()) == [(0, 3), (1, 2)]

@@ -176,6 +176,17 @@ def test_ceiling_rule_decides_without_generating(monkeypatch):
         next(enumerate_regular(RegularGenSpec(4, 22), ceiling=30))
 
 
+def test_ceiling_below_one_is_refused_for_every_degree_and_mode(monkeypatch):
+    monkeypatch.setattr(regular, "_regular_classes", lambda k, n: ())
+    specs = [RegularGenSpec(1, 8), RegularGenSpec(2, 8), RegularGenSpec(3, 8), RegularGenSpec(6, 8),
+             RegularGenSpec(3, 30, mode="random", count=1)]
+    for spec in specs:
+        for ceiling in (0, -1):
+            late = enumerate_regular(spec, ceiling)  # the error waits for the first next
+            with pytest.raises(ValueError, match=rf"^ceiling must be positive, got {ceiling}$"):
+                next(late)
+
+
 def test_ceiling_is_enforced(monkeypatch):
     # explicit override allows it (kept tiny here: n=16 would be slow)
     assert len(list(enumerate_regular(RegularGenSpec(k=4, n=9), ceiling=9))) == 16
