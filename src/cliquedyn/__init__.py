@@ -72,11 +72,6 @@ from .helly import (
     triangle_count,
     triangles,
 )
-from .regular import (
-    RegularGenSpec,
-    enumerate_regular,
-    random_regular,
-    two_switch,
-)
+from .regular import RegularGenSpec, enumerate_regular, random_regular
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ class list are then one per class: 94, 60 and 266 at (k, n) = (3, 12),
 from __future__ import annotations
 
 from . import graph6
-from .graphs import Graph, bits, mask_of, permuted_rows, relabel
+from .graphs import Graph, bits, permuted_rows, relabel
 
 # search-node budget of one find_coaffination call
 COAFF_NODE_CAP = 200_000
@@ -277,58 +277,65 @@ def find_coaffination(g: Graph) -> tuple[int, ...] | None:
     """Automorphism sigma with sigma(x) outside N[x] for every x, or None.
 
     The constraint is folded into the backtracking as a candidate filter
-    rather than enumerating the automorphism group first. The graph on
-    zero vertices has no coaffination by convention. COAFF_NODE_CAP bounds
-    the search; on cap exhaustion the search reports None, which callers
-    treat as "no certificate found" (never as a wrong answer).
+    rather than enumerating the automorphism group first: a vertex may go
+    only to a vertex of its degree that is neither itself nor a
+    neighbour. Vertices are placed in `order`, fewest candidates first,
+    and the search is one loop over an explicit stack of levels: level i
+    keeps `left[i]`, the untried candidates of `order[i]`, and
+    `image[i]`, its current image. A candidate is tried, lowest first,
+    when it is unused and keeps adjacency with every placed vertex. A
+    level with no candidate left is popped and the level below tries its
+    next one, so the depth is bounded by n and not by the interpreter's
+    recursion limit. The graph on zero vertices has no coaffination by
+    convention. COAFF_NODE_CAP bounds the number of levels opened; past
+    it the search reports None, which callers treat as "no certificate
+    found" (never as a wrong answer).
     """
     n = g.n
     if n == 0:
         return None
     deg = g.degrees()
     rows = g.rows
-    full = (1 << n) - 1
-    base_candidates = []
+    of_degree: dict[int, int] = {}
     for v in range(n):
-        cand = full & ~rows[v] & ~(1 << v)
-        cand = mask_of(u for u in bits(cand) if deg[u] == deg[v])
-        if not cand:
-            return None
-        base_candidates.append(cand)
-    # assign vertices in order of fewest candidates first
-    order = sorted(range(n), key=lambda v: base_candidates[v].bit_count())
-    assigned: list[int] = [-1] * n
+        of_degree[deg[v]] = of_degree.get(deg[v], 0) | 1 << v
+    base = [of_degree[deg[v]] & ~rows[v] & ~(1 << v) for v in range(n)]
+    if not all(base):
+        return None
+    order = sorted(range(n), key=lambda v: base[v].bit_count())
+    left = [0] * n
+    image = [-1] * n
     used = 0
     nodes = 0
-
-    def backtrack(idx: int) -> bool:
-        nonlocal used, nodes
-        if idx == n:
-            return True
-        nodes += 1
-        if nodes > COAFF_NODE_CAP:
-            return False
-        v = order[idx]
-        cand = base_candidates[v] & ~used
-        for w in bits(cand):
-            ok = True
-            for prev_idx in range(idx):
-                u = order[prev_idx]
-                if ((rows[v] >> u) & 1) != ((rows[w] >> assigned[u]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[v] = w
-            used |= 1 << w
-            if backtrack(idx + 1):
-                return True
-            used &= ~(1 << w)
-            assigned[v] = -1
+    i = 0
+    while True:
+        v = order[i]
+        if image[i] < 0:  # level i opens
+            nodes += 1
             if nodes > COAFF_NODE_CAP:
-                return False
-        return False
-
-    if backtrack(0):
-        return tuple(assigned)
-    return None
+                return None
+            left[i] = base[v] & ~used
+        else:  # back from level i + 1: free the current image
+            used ^= 1 << image[i]
+            image[i] = -1
+        row = rows[v]
+        while left[i]:
+            low = left[i] & -left[i]
+            left[i] ^= low
+            w = low.bit_length() - 1
+            rw = rows[w]
+            for j in range(i):
+                if (row >> order[j] ^ rw >> image[j]) & 1:
+                    break
+            else:
+                image[i] = w
+                used |= low
+                break
+        if image[i] >= 0:
+            i += 1
+            if i == n:
+                return tuple(w for _, w in sorted(zip(order, image)))
+        elif i == 0:
+            return None
+        else:
+            i -= 1

@@ -8,9 +8,9 @@ constructor expressions:
     cycle N | complete N | empty N | octahedron M | complete_bipartite A B
     union(EXPR, EXPR, ...) | join(EXPR, EXPR, ...) | complement(EXPR)
 
-Exit codes: 0 success, 1 search found nothing, 2 bad input (one
-"<command> error:" line on stderr), 3 a resource limit truncated the
-result.
+Exit codes: 0 success, 1 search found nothing, 2 bad input or an input
+too large for a recursive search (one "<command> error:" line on
+stderr), 3 a resource limit truncated the result.
 """
 from __future__ import annotations
 
@@ -177,8 +177,9 @@ def cmd_analyze(args) -> int:
     code = EXIT_OK
     result = classify_behavior(g, limits)
     doc["clique_count"] = clique_count(g, result, limits)
+    cliques = f"cliques {doc['clique_count']}"
     if doc["clique_count"] is None:
-        doc["clique_count_note"] = str(CliqueLimitError(limits.max_cliques))
+        cliques = doc["clique_count_note"] = str(CliqueLimitError(limits.max_cliques))
         code = EXIT_RESOURCE
     verdict = is_helly(g)
     doc["helly"] = {
@@ -190,7 +191,7 @@ def cmd_analyze(args) -> int:
         code = EXIT_RESOURCE
 
     lines = [
-        f"order {g.n}, edges {g.edge_count()}, cliques {doc['clique_count']}",
+        f"order {g.n}, edges {g.edge_count()}, {cliques}",
         f"helly: {verdict.is_helly}"
         + (f" (witness triangle {verdict.witness})" if verdict.witness else ""),
         f"behavior: {result.status}",
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,7 @@
-"""Exhaustive and random generation of k-regular graphs, plus 2-switches.
+"""Exhaustive and random generation of k-regular graphs.
+
+Random graphs come from the pairing model, mixed by a burn-in of
+random 2-switches.
 
 Exhaustive enumeration dispatches by degree:
 
@@ -68,32 +71,6 @@ class RegularGenSpec:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def two_switch(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
-    """Replace edges {a,b},{u,v} by {a,u},{b,v}; preserves all degrees.
-
-    Requires both edges present, the four vertices distinct and in range,
-    and the new pairs non-adjacent. Violations raise ValueError naming
-    the pair.
-    """
-    a, b = e1
-    u, v = e2
-    if not all(0 <= x < g.n for x in (a, b, u, v)):
-        raise ValueError(f"2-switch endpoints must lie in 0..{g.n - 1}, got {e1} and {e2}")
-    if len({a, b, u, v}) != 4:
-        raise ValueError(f"2-switch endpoints must be distinct, got {e1} and {e2}")
-    if not g.has_edge(a, b):
-        raise ValueError(f"({a}, {b}) is not an edge")
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    if g.has_edge(a, u):
-        raise ValueError(f"vertices {a} and {u} are already adjacent")
-    if g.has_edge(b, v):
-        raise ValueError(f"vertices {b} and {v} are already adjacent")
-    drop = {tuple(sorted(e1)), tuple(sorted(e2))}
-    kept = [e for e in g.edges() if e not in drop]
-    return Graph.from_edges(g.n, kept + [(a, u), (b, v)])
 
 
 # ---------------------------------------------------------------------------

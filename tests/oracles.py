@@ -3,16 +3,17 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Eight are the library's earlier loops, kept as they were when
-other code replaced them: plain pivoting Bron-Kerbosch, the one-seed
-greedy octahedron search, partition refinement that counts every
-vertex into every splitter, the triangle count that walks neighbours
-with `bits`, the divergence screen that builds the full join
-decomposition of every graph, the class list step that runs one full
-canonical search per labeled graph, the generic regular route that
-tests every swap with its own call, and the degree 1 and 2 class lists
-built from their structure: one perfect matching, and one union of
-cycles per partition of n. The cubic expansion closure
+one. Ten are the library's earlier code, kept as it was when other
+code replaced it: plain pivoting Bron-Kerbosch, the one-seed greedy
+octahedron search, partition refinement that counts every vertex into
+every splitter, the triangle count that walks neighbours with `bits`,
+the divergence screen that builds the full join decomposition of every
+graph, the recursive coaffination search, the class list step that
+runs one full canonical search per labeled graph, the generic regular
+route that tests every swap with its own call, the degree 1 and 2
+class lists built from their structure: one perfect matching, and one
+union of cycles per partition of n, and the 2-switch that the random
+generator's burn-in inlines. The cubic expansion closure
 at the end is not brute force either: it is a second exhaustive cubic
 route, built from the 2-edge reduction theorem rather than from
 labelings.
@@ -308,6 +309,67 @@ def divergence_certificate_reference(g: Graph):
     return None
 
 
+def find_coaffination_reference(g: Graph, node_cap: int) -> tuple[int, ...] | None:
+    """`find_coaffination` as the recursive search it was, under a node budget.
+
+    The constraint is folded into the backtracking as a candidate filter
+    rather than enumerating the automorphism group first. The graph on
+    zero vertices has no coaffination by convention. `node_cap` bounds
+    the search; on cap exhaustion the search reports None, which callers
+    treat as "no certificate found" (never as a wrong answer).
+    """
+    n = g.n
+    if n == 0:
+        return None
+    deg = g.degrees()
+    rows = g.rows
+    full = (1 << n) - 1
+    base_candidates = []
+    for v in range(n):
+        cand = full & ~rows[v] & ~(1 << v)
+        cand = mask_of(u for u in bits(cand) if deg[u] == deg[v])
+        if not cand:
+            return None
+        base_candidates.append(cand)
+    # assign vertices in order of fewest candidates first
+    order = sorted(range(n), key=lambda v: base_candidates[v].bit_count())
+    assigned: list[int] = [-1] * n
+    used = 0
+    nodes = 0
+
+    def backtrack(idx: int) -> bool:
+        nonlocal used, nodes
+        if idx == n:
+            return True
+        nodes += 1
+        if nodes > node_cap:
+            return False
+        v = order[idx]
+        cand = base_candidates[v] & ~used
+        for w in bits(cand):
+            ok = True
+            for prev_idx in range(idx):
+                u = order[prev_idx]
+                if ((rows[v] >> u) & 1) != ((rows[w] >> assigned[u]) & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assigned[v] = w
+            used |= 1 << w
+            if backtrack(idx + 1):
+                return True
+            used &= ~(1 << w)
+            assigned[v] = -1
+            if nodes > node_cap:
+                return False
+        return False
+
+    if backtrack(0):
+        return tuple(assigned)
+    return None
+
+
 def sorted_canonical_reference(graphs) -> tuple[Graph, ...]:
     """One canonical graph per class of `graphs`, sorted by graph6.
 
@@ -505,6 +567,34 @@ def pruned_labeled_regular_reference(n: int, k: int):
 
     place(0)
     return out
+
+
+# -- the 2-switch that the random burn-in inlines -----------------------------
+
+def two_switch(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Graph:
+    """Replace edges {a,b},{u,v} by {a,u},{b,v}; preserves all degrees.
+
+    Requires both edges present, the four vertices distinct and in range,
+    and the new pairs non-adjacent. Violations raise ValueError naming
+    the pair.
+    """
+    a, b = e1
+    u, v = e2
+    if not all(0 <= x < g.n for x in (a, b, u, v)):
+        raise ValueError(f"2-switch endpoints must lie in 0..{g.n - 1}, got {e1} and {e2}")
+    if len({a, b, u, v}) != 4:
+        raise ValueError(f"2-switch endpoints must be distinct, got {e1} and {e2}")
+    if not g.has_edge(a, b):
+        raise ValueError(f"({a}, {b}) is not an edge")
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge")
+    if g.has_edge(a, u):
+        raise ValueError(f"vertices {a} and {u} are already adjacent")
+    if g.has_edge(b, v):
+        raise ValueError(f"vertices {b} and {v} are already adjacent")
+    drop = {tuple(sorted(e1)), tuple(sorted(e2))}
+    kept = [e for e in g.edges() if e not in drop]
+    return Graph.from_edges(g.n, kept + [(a, u), (b, v)])
 
 
 # -- the cubic expansion closure ---------------------------------------------

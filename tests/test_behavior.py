@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,17 @@ def test_connected_sum_certificate():
     cert = divergence_certificate(g)
     assert isinstance(cert, ConnectedSumCertificate)
     assert certificate_is_valid(g, cert)
+
+
+def test_connected_sum_certificate_past_the_recursion_limit():
+    # the coaffination search places one summand vertex per level; with
+    # more levels than the recursion limit allows frames, it still finishes
+    limit = sys.getrecursionlimit()
+    g = join(complement(cycle_graph(limit + 100)), empty_graph(2))
+    cert = divergence_certificate(g)
+    assert isinstance(cert, ConnectedSumCertificate)
+    assert certificate_is_valid(g, cert)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_three_summands_certificate():

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,12 @@ from cliquedyn import (
     relabel,
 )
 
-from oracles import automorphisms_brute, isomorphic_brute, refine_reference
+from oracles import (
+    automorphisms_brute,
+    find_coaffination_reference,
+    isomorphic_brute,
+    refine_reference,
+)
 from strategies import graphs, permutations_of
 
 
@@ -242,6 +247,45 @@ def test_coaffination_agrees_with_brute_force(g):
     else:
         assert is_coaffination(g, sigma)
         assert brute
+
+
+def _coaffination_inputs():
+    rng = random.Random(26)
+    inputs = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.2, 0.5, 0.8))
+        inputs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    symmetric = [octahedron(m) for m in (1, 2, 3, 4, 5, 40)]
+    symmetric += [complement(cycle_graph(n)) for n in (*range(3, 14), 40)]
+    symmetric += [
+        complement(disjoint_union([cycle_graph(3)] * a + [cycle_graph(5)] * b))
+        for a in range(4)
+        for b in range(3)
+        if a + b
+    ]
+    for g in symmetric:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        inputs += [g, relabel(g, perm)]
+    return inputs
+
+
+COAFFINATION_INPUTS = _coaffination_inputs()
+
+
+@pytest.mark.parametrize(
+    "cap,found", [(1, 0), (2, 12), (5, 31), (50, 79), (canon.COAFF_NODE_CAP, 83)]
+)
+def test_find_coaffination_matches_recursive_reference(cap, found, monkeypatch):
+    # the stack search makes the recursive search's decisions, so it
+    # returns the same permutation, or None, under every node budget;
+    # the budgets below the largest stop some searches that it completes
+    monkeypatch.setattr(canon, "COAFF_NODE_CAP", cap)
+    sigmas = [find_coaffination(g) for g in COAFFINATION_INPUTS]
+    assert sigmas == [find_coaffination_reference(g, cap) for g in COAFFINATION_INPUTS]
+    assert all(is_coaffination(g, s) for g, s in zip(COAFFINATION_INPUTS, sigmas) if s)
+    assert sum(s is not None for s in sigmas) == found
 
 
 def _canon_pin_inputs():

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,12 @@ def test_analyze_bad_input_exits_2(tmp_path, capsys):
 def test_analyze_resource_limit_exits_3(capsys):
     code = main(["analyze", "complement(cycle 7)", "--limit-cliques", "3"])
     assert code == 3
+    # the table names the cap the count passed, in the JSON note's words
+    assert capsys.readouterr().out == (
+        "order 7, edges 14, maximal clique count exceeded the cap of 3\n"
+        "helly: True\n"
+        "behavior: unknown (clique-cap after 0 iterations)\n"
+    )
 
 
 def test_analyze_file_inputs(tmp_path, capsys):
@@ -225,6 +232,23 @@ def test_bad_flags_exit_2_with_one_line(argv, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "make_argv",
+    [lambda n: ["gen", "-k", "1", "-n", str(n)], lambda n: ["analyze", f"empty {n}"]],
+    ids=["gen", "analyze"],
+)
+def test_recursion_too_deep_exits_2_with_one_line(make_argv, capsys):
+    # the row placement and the canonical search recurse once per vertex;
+    # an order past the recursion limit is refused, and the limit is kept
+    limit = sys.getrecursionlimit()
+    argv = make_argv(limit + 200)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]} error: maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sys.getrecursionlimit() == limit
+
+
 def _search_hits(argv, capsys):
     code = main(["search", *argv, "--format", "json"])
     return code, [h["graph6"] for h in json.loads(capsys.readouterr().out)["hits"]]
@@ -248,8 +272,11 @@ def test_search_random_budget_is_the_sample_count(capsys):
     assert len(_search_hits(argv + ["--budget", "1200"], capsys)[1]) == 1200
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_cli_commands() -> list[list[str]]:
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     commands = []
     for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
@@ -266,3 +293,26 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_quick_tour_runs_and_states_its_values():
+    # runs the README's python block line by line; every expression line
+    # whose comment states a value must produce it: its repr, or the
+    # length of a list
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        source, _, comment = line.partition("#")
+        if not source.strip():
+            continue
+        try:
+            code = compile(source.strip(), "README.md", "eval")
+        except SyntaxError:
+            exec(source.strip(), namespace)
+            continue
+        value = eval(code, namespace)
+        stated = f"{len(value)} " if isinstance(value, list) else repr(value)
+        assert comment.strip().startswith(stated), (source, value)
+        checked += 1
+    assert checked == 5

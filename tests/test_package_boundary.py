@@ -2,7 +2,8 @@
 
 The library stays stdlib-only, never imports the test helpers, and
 exposes none of the reference implementations in `oracles.py` nor the
-helpers deleted because no library code called them. Sources are read
+helpers deleted because no library code called them. It never sets
+the interpreter's recursion limit. Sources are read
 with `ast`, so an import that only runs on some path is still seen.
 Importing the package loads no process pool until a census asks for one.
 """
@@ -92,6 +93,13 @@ def test_oracles_and_deleted_helpers_are_not_library_names():
         (home.__name__, name) for home in homes for name in sorted(gone) if hasattr(home, name)
     ]
     assert present == []
+
+
+def test_package_never_sets_the_recursion_limit():
+    # the limit is interpreter-global state: an input too deep for a
+    # recursive search is refused, not given more stack; the name may not
+    # appear at all, so no import, alias or getattr string gets round it
+    assert [path.name for path in MODULES if "setrecursionlimit" in path.read_text()] == []
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -19,7 +19,6 @@ from cliquedyn import (
     matching_graph,
     random_regular,
     relabel,
-    two_switch,
 )
 from cliquedyn import canon, encode, regular
 from cliquedyn.canon import canonical_graph
@@ -44,6 +43,7 @@ from oracles import (
     pruned_labeled_regular_reference,
     sorted_canonical_reference,
     transposition_raises,
+    two_switch,
 )
 from strategies import graphs
 
@@ -421,6 +421,37 @@ def test_inline_index_draw_matches_randrange():
             assert i == ref.randrange(m)
             # the burn-in interleaves one-bit draws for the edge orientation
             assert rng.getrandbits(1) == ref.getrandbits(1)
+
+
+@pytest.mark.parametrize("k,n", [(3, 30), (4, 40), (6, 20)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_burn_in_replays_two_switch(k, n, seed):
+    # the same pairing, then BURN_IN_FACTOR * n attempts drawn in the
+    # burn-in's order (i, j, skip i == j, then the orientation bit), each
+    # switched through the reference two_switch and skipped where it refuses
+    import random
+
+    rng = random.Random(seed)
+    edges = None
+    while edges is None:
+        edges = regular._try_pairing(rng, n, k)
+    edges = sorted(edges)
+    g = Graph.from_edges(n, edges)
+    m = len(edges)
+    for _ in range(regular.BURN_IN_FACTOR * n):
+        i = rng.randrange(m)
+        j = rng.randrange(m)
+        if i == j:
+            continue
+        (a, b), (u, v) = edges[i], edges[j]
+        if rng.getrandbits(1):
+            u, v = v, u
+        try:
+            g = two_switch(g, (a, b), (u, v))
+        except ValueError:
+            continue
+        edges[i], edges[j] = (a, u), (b, v)
+    assert g == random_regular(k, n, seed=seed)
 
 
 # -- the cubic expansion closure as an oracle --------------------------------
