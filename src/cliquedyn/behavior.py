@@ -10,11 +10,12 @@ certified divergent shapes:
   * a join of two summands, both with coaffinations, one connected.
 
 All four are facts about the components of the complement, so
-`divergence_certificate` reads them off those components. O_m's
-complement is m disjoint edges, so its components are m >= 3 vertex
-pairs; a cycle complement's complement is one cycle; and the two join
-shapes have two or more components, whose induced subgraphs in g are
-the summands of `join_summands`.
+`divergence_certificate` reads them off those components, which
+`graphs.complement_components` finds from g's own rows without building
+the complement. O_m's complement is m disjoint edges, so its components
+are m >= 3 vertex pairs; a cycle complement's complement is one cycle;
+and the two join shapes have two or more components, whose induced
+subgraphs in g are the summands of `join_summands`.
 
 Certificates carry explicit witnesses (isomorphism maps, summand blocks,
 coaffination permutations), and each certificate validates itself:
@@ -35,7 +36,7 @@ from .graphs import (
     Graph,
     bits,
     complement,
-    connected_components,
+    complement_components,
     cycle_graph,
     induced,
     is_connected,
@@ -166,15 +167,19 @@ def join_summands(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     """
     if g.n == 0:
         raise ValueError("the empty graph has no join decomposition")
-    comps = connected_components(complement(g))
-    return [(tuple(bits(mask)), induced(g, mask)) for mask in comps]
+    return [(tuple(bits(mask)), induced(g, mask)) for mask in complement_components(g)]
 
 
-def _cycle_complement_certificate(co: Graph) -> CycleComplementCertificate | None:
-    """Certificate for the complement of co, co connected: a cycle iff all degrees are 2."""
-    n = co.n
-    if n < 8 or any(row.bit_count() != 2 for row in co.rows):
+def _cycle_complement_certificate(g: Graph) -> CycleComplementCertificate | None:
+    """Certificate for g, whose complement is connected.
+
+    That complement is a cycle iff its degrees are all 2, that is, iff
+    every degree of g is n - 3; only then is it built, for the walk.
+    """
+    n = g.n
+    if n < 8 or any(row.bit_count() != n - 3 for row in g.rows):
         return None
+    co = complement(g)
     mapping = [-1] * n
     prev, cur = -1, 0
     for pos in range(n):
@@ -198,10 +203,9 @@ def divergence_certificate(g: Graph) -> Certificate | None:
     """
     if g.n == 0:
         return None
-    co = complement(g)
-    comps = connected_components(co)
+    comps = complement_components(g)
     if len(comps) == 1:
-        return _cycle_complement_certificate(co)
+        return _cycle_complement_certificate(g)
     blocks = tuple(tuple(bits(mask)) for mask in comps)
     if g.n >= 6 and all(len(block) == 2 for block in blocks):
         mapping = [0] * g.n

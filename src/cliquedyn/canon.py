@@ -146,6 +146,7 @@ class _CanonSearch:
         self.first: tuple | None = None  # (relabeled rows, label, individualized path)
         self.best: tuple | None = None  # the same record for the least rows so far
         self.generators: list[tuple[int, ...]] = []
+        self.moved: list[int] = []  # moved[i]: mask of the vertices generators[i] moves
         self.known = known
         self.hit: Graph | None = None  # known[first leaf's rows] when the search stopped there
         self.leaves: list[tuple[int, ...]] = []  # relabeled rows of every leaf, kept for `known`
@@ -155,11 +156,12 @@ class _CanonSearch:
             return []
         full = (1 << self.n) - 1
         cells = _refine(self.rows, [full], [full])
-        self._descend(cells, ())
+        self._descend(cells, (), 0)
         return self.best[1] if self.best else []  # no best after a stop at a known leaf
 
-    def _descend(self, cells: list[int], prefix: tuple[int, ...]) -> int:
-        """Search below `prefix`; return the depth at which the search resumes."""
+    def _descend(self, cells: list[int], prefix: tuple[int, ...], prefix_mask: int) -> int:
+        """Search below `prefix`, whose vertex mask is `prefix_mask`; return
+        the depth at which the search resumes."""
         tgt = _first_target_cell(cells)
         if tgt < 0:
             return self._leaf(cells, prefix)
@@ -175,7 +177,7 @@ class _CanonSearch:
             if len(self.generators) != gen_count:
                 gen_count = len(self.generators)
                 applicable = [
-                    g for g in self.generators if all(g[p] == p for p in prefix)
+                    g for g, moved in zip(self.generators, self.moved) if not moved & prefix_mask
                 ]
                 closure = orbit_closure(explored, applicable)
             if v in closure:
@@ -183,7 +185,7 @@ class _CanonSearch:
             explored.append(v)
             closure |= orbit_closure([v], applicable)
             refined = _individualize(self.rows, cells, tgt, v)
-            resume = self._descend(refined, prefix + (v,))
+            resume = self._descend(refined, prefix + (v,), prefix_mask | 1 << v)
             if resume < len(prefix):
                 return resume
         return len(prefix)
@@ -206,9 +208,13 @@ class _CanonSearch:
         for rec_rel, rec_label, rec_path in (self.first, self.best):
             if rel == rec_rel:
                 gen = [0] * self.n
+                moved = 0
                 for pos in range(self.n):
                     gen[rec_label[pos]] = label[pos]
+                    if rec_label[pos] != label[pos]:
+                        moved |= 1 << rec_label[pos]
                 self.generators.append(tuple(gen))
+                self.moved.append(moved)
                 depth = 0
                 while path[depth] == rec_path[depth]:
                     depth += 1

@@ -10,6 +10,8 @@ m lines "u v" with 0-based endpoints.
 """
 from __future__ import annotations
 
+import binascii
+
 from .graphs import Graph
 
 
@@ -21,34 +23,40 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+# base64 digit v (alphabet A-Z a-z 0-9 + /) to the graph6 character 63 + v
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
+
+
 def encode(g: Graph) -> str:
+    """graph6 string of g.
+
+    Column j of the upper triangle, x(0,j) .. x(j-1,j), is the low j bits
+    of row j read from bit 0 up: `bin` of those bits with bit j set, less
+    its "0b1" and reversed. The joined columns are read as one int, padded
+    to whole 24-bit groups, and base64 cuts it into 6-bit digits, which the
+    table maps to the characters 63 + v.
+    """
     n = g.n
-    out = []
     if n <= 62:
-        out.append(chr(63 + n))
+        header = chr(63 + n)
     elif n <= 258047:
-        out.append("~")
-        out.extend(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+        header = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     elif n <= 68719476735:
-        out.append("~~")
-        out.extend(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
+        header = "~~" + "".join(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
     else:
         raise ValueError(f"n={n} exceeds the graph6 length range")
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(63 + acc))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    if not nbits:
+        return header
+    rows = g.rows
+    cols = "".join(bin(rows[j] & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n))
+    nbytes = (nbits + 23) // 24 * 3
+    packed = (int(cols, 2) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_GRAPH6)
+    return header + body[: (nbits + 5) // 6].decode("ascii")
 
 
 def decode(text: str) -> Graph:

@@ -265,6 +265,33 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
+def complement_components(g: Graph) -> list[int]:
+    """`connected_components(complement(g))`, read off g's own rows.
+
+    A vertex u outside a frontier F is a complement neighbour of some
+    vertex of F unless it is g-adjacent to every vertex of F. So a BFS
+    round ANDs the rows of F into the unvisited set, which keeps the
+    vertices not reached, and stops as soon as that set is empty.
+    """
+    rows = g.rows
+    left = g.full_mask()
+    comps = []
+    while left:
+        frontier = left & -left
+        comp = 0
+        while frontier:
+            comp |= frontier
+            left &= ~frontier
+            stay = left
+            while frontier and stay:
+                low = frontier & -frontier
+                stay &= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = left & ~stay
+        comps.append(comp)
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

@@ -3,11 +3,12 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Ten are the library's earlier code, kept as it was when other
+one. Eleven are the library's earlier code, kept as it was when other
 code replaced it: plain pivoting Bron-Kerbosch, the one-seed greedy
 octahedron search, partition refinement that counts every vertex into
 every splitter, the triangle count that walks neighbours with `bits`,
-the divergence screen that builds the full join decomposition of every
+the graph6 encoder that packs one bit per step, the divergence screen
+that builds the complement and the full join decomposition of every
 graph, the recursive coaffination search, the class list step that
 runs one full canonical search per labeled graph, the generic regular
 route that tests every swap with its own call, the degree 1 and 2
@@ -31,13 +32,14 @@ from cliquedyn import (
     bits,
     canonical_graph,
     complement,
+    connected_components,
     cycle_graph,
     disjoint_union,
     empty_graph,
     encode,
     find_coaffination,
+    induced,
     is_connected,
-    join_summands,
     mask_of,
     matching_graph,
     maximal_cliques,
@@ -268,15 +270,49 @@ def cotriangle_adjacent_vertices(g: Graph, t) -> int:
     return mask_of(_two_neighbor_vertices(g, t))
 
 
-def divergence_certificate_reference(g: Graph):
-    """`divergence_certificate` read off the pairs of `join_summands(g)`.
+def encode_reference(g: Graph) -> str:
+    """`graph6.encode` as it was: the upper triangle packed one bit per step."""
+    n = g.n
+    out = []
+    if n <= 62:
+        out.append(chr(63 + n))
+    elif n <= 258047:
+        out.append("~")
+        out.extend(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    elif n <= 68719476735:
+        out.append("~~")
+        out.extend(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
+    else:
+        raise ValueError(f"n={n} exceeds the graph6 length range")
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        col = g.rows[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        acc <<= 6 - nbits
+        out.append(chr(63 + acc))
+    return "".join(out)
 
-    Every call builds the blocks and induced summands first, and a single
-    summand is tested as a cycle complement on g's own degrees.
+
+def divergence_certificate_reference(g: Graph):
+    """`divergence_certificate` read off the full join decomposition of g.
+
+    Every call builds the complement, its components by a BFS over it,
+    and the blocks and induced summands, before any shape is tested; a
+    single summand is tested as a cycle complement on g's own degrees.
     """
     if g.n == 0:
         return None
-    summands = join_summands(g)
+    summands = [
+        (tuple(bits(mask)), induced(g, mask)) for mask in connected_components(complement(g))
+    ]
     if len(summands) == 1:
         n = g.n
         if n < 8 or any(row.bit_count() != n - 3 for row in g.rows):

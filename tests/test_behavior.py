@@ -285,6 +285,32 @@ def test_clique_cap_at_iterate_zero_is_not_enumerated_again(monkeypatch):
     assert calls == []
 
 
+def test_screen_builds_no_complement_on_random_inputs(monkeypatch):
+    # the complement is built only for the cycle walk, after every degree
+    # of g is n - 3; seeded G(n, 0.25) inputs and their iterates never get there
+    scan = Limits(max_iterations=15, max_vertices=400, max_cliques=40_000)
+    calls = []
+    real = behavior.complement
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(behavior, "complement", counting)
+    # the patched name is the one the screen calls
+    assert classify_behavior(complement(cycle_graph(9)), scan).is_divergent
+    assert calls == [9]
+    calls.clear()
+    rng = random.Random(25)
+    iterates = 0
+    for n in range(12, 20):
+        for _ in range(4):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
+            iterates += len(classify_behavior(Graph.from_edges(n, edges), scan).trace)
+    assert iterates > 100
+    assert calls == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_n=7), st.integers(1, 16), st.integers(1, 4))
 def test_clique_cap_above_vertex_cap_only_relabels(g, max_vertices, max_iterations):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from cliquedyn.graph6 import (
     read_graph6_lines,
 )
 
+from oracles import encode_reference
 from strategies import graphs
 
 
@@ -57,6 +59,48 @@ def test_roundtrip_many_random():
         pairs = n * (n - 1) // 2
         g = Graph.from_upper_bits(n, rng.getrandbits(pairs) if pairs else 0)
         assert decode(encode(g)) == g
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_encode_matches_the_bit_by_bit_reference():
+    # every n from 0 to 70 crosses the switch to the 4-character header at 63
+    rng = random.Random(20261020)
+    for n in range(71):
+        for p in (0.0, rng.random(), rng.random(), 1.0):
+            g = _random_graph(rng, n, p)
+            assert encode(g) == encode_reference(g)
+            assert decode(encode(g)) == g
+    g = _random_graph(rng, 300, 0.3)
+    assert encode(g) == encode_reference(g)
+    assert decode(encode(g)) == g
+
+
+def _peak_bytes(fn, g) -> int:
+    tracemalloc.start()
+    try:
+        fn(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_peak_memory_stays_near_the_per_character_list():
+    # the old encoder's peak was its list of one 8-byte slot per output
+    # character (3.26 MB, 9.8 bytes a character, on this input); the
+    # column string costs n(n - 1)/2 bytes, twice while it is joined
+    # (4.11 MB). Tracing the old encoder itself takes seconds, so the
+    # bound is set from its list: twice its 8 bytes a character.
+    rng = random.Random(2000)
+    n = 2000
+    g = Graph.from_edges(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(20_000)})
+    text = encode(g)
+    assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert _peak_bytes(encode, g) < 2 * 8 * len(text)
 
 
 def test_decode_rejects_bad_length():

@@ -22,6 +22,7 @@ from cliquedyn import (
     octahedron,
     relabel,
 )
+from cliquedyn.graphs import complement_components
 
 from strategies import graphs, permutations_of
 
@@ -171,6 +172,44 @@ def test_components():
     assert not is_connected(g)
     assert is_connected(cycle_graph(6))
     assert is_connected(empty_graph(0))
+
+
+def test_complement_components_match_the_complement_on_every_small_graph():
+    # every labeled graph on at most 6 vertices: 33 868 of them
+    for n in range(7):
+        pairs = n * (n - 1) // 2
+        for packed in range(1 << pairs):
+            g = Graph.from_upper_bits(n, packed)
+            assert complement_components(g) == connected_components(complement(g))
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_complement_components_match_the_complement_on_random_graphs():
+    rng = random.Random(20261020)
+    for n in (0, 1, 2, 3, 8, 15, 31, 47, 64, 70):
+        for p in (0.0, 0.1, 0.5, 0.8, 0.95, 1.0):
+            g = _random_graph(rng, n, p)
+            assert complement_components(g) == connected_components(complement(g))
+    # relabeled joins have several complement components, not in vertex order
+    for _ in range(60):
+        parts = [
+            _random_graph(rng, rng.randrange(1, 18), rng.choice((0.2, 0.5, 0.8)))
+            for _ in range(rng.randrange(2, 5))
+        ]
+        g = parts[0]
+        for part in parts[1:]:
+            g = join(g, part)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        comps = complement_components(g)
+        assert comps == connected_components(complement(g))
+        assert len(comps) >= len(parts)
 
 
 def test_from_edges_rejects_bad_input():
