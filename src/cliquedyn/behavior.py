@@ -316,6 +316,26 @@ def _iterate_invariant(g: Graph) -> tuple:
     return inv
 
 
+def _stars_are_the_cliques(n: int, cliques: tuple[int, ...], next_cliques: tuple[int, ...]) -> bool:
+    """Whether the stars of H are the maximal cliques of K(H).
+
+    H has n vertices and maximal cliques `cliques`, vertex k of K(H)
+    being cliques[k]; next_cliques are the maximal cliques of K(H). The
+    star of v is the mask of the cliques through v. H has n stars, so
+    they are built only when K(H) has n cliques.
+    """
+    if len(next_cliques) != n:
+        return False
+    stars = [0] * n
+    for k, m in enumerate(cliques):
+        bit = 1 << k
+        while m:
+            low = m & -m
+            stars[low.bit_length() - 1] |= bit
+            m ^= low
+    return set(stars) == set(next_cliques)
+
+
 def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResult:
     """Iterate the clique graph operator and classify the behavior.
 
@@ -330,6 +350,20 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
     triangle count), so growing divergent sequences never pay for
     canonization. Trace fingerprints are canonical where computed and
     invariant-derived (marked with "~") otherwise.
+
+    Most sequences end with iterate i isomorphic to iterate i - 2, and
+    a star test proves that repeat without a second canonization. The
+    star of a vertex v of H = iterate i - 2 is the set of H's maximal
+    cliques through v. If the n stars of H are the maximal cliques of
+    K(H), v -> star(v) is an isomorphism from H onto K^2(H), since u ~ v
+    exactly when their stars meet. For a clique-Helly H the maximal
+    cliques of K(H) are its maximal stars (Escalante, "Über iterierte
+    Clique-Graphen", 1973; Bandelt and Prisner, "Clique graphs and Helly
+    graphs", 1991), so the test passes whenever K(H) has n cliques.
+    Iterate i then takes iterate i - 2's invariant, and one canonical
+    form, i - 2's if already computed, else i's, fingerprints both.
+    Earlier iterates are compared as above, so the same iterates are
+    canonized and the report does not change.
     """
     iterates: list[Graph] = []
     invariants: list[tuple] = []
@@ -359,24 +393,30 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
         )
 
     cur = g
+    cliques: tuple[tuple[int, ...], ...] = ()  # the maximal cliques of iterates i - 2 and i - 1
     for i in range(limits.max_iterations + 1):
         iterates.append(cur)
         cert = divergence_certificate(cur)
         if cert is not None:
             invariants.append((cur.n, cur.edge_count(), ()))
             return result("divergent", i, certificate=cert, detected_at=i)
-        inv = _iterate_invariant(cur)
+        twin = len(cliques) == 2 and _stars_are_the_cliques(iterates[i - 2].n, *cliques)
+        inv = invariants[i - 2] if twin else _iterate_invariant(cur)
         invariants.append(inv)
-        for j in range(i):
+        for j in range(i - 2 if twin else i):
             if invariants[j] == inv and canon_of(i) == canon_of(j):
                 return result("convergent", i, tail=j, period=i - j)
+        if twin:
+            canon_cache[i] = canon_cache[i - 2] = canon_cache.get(i - 2) or canon_of(i)
+            return result("convergent", i, tail=i - 2, period=2)
         if i == limits.max_iterations:
             break
         try:
-            cur, _ = clique_graph(cur, cap=min(limits.max_cliques, limits.max_vertices))
+            cur, cl = clique_graph(cur, cap=min(limits.max_cliques, limits.max_vertices))
         except CliqueLimitError:
             limit = "clique-cap" if limits.max_cliques <= limits.max_vertices else "vertex-cap"
             return result("unknown", i, limit=limit)
+        cliques = cliques[-1:] + (cl,)
     return result("unknown", limits.max_iterations, limit="iteration-cap")
 
 

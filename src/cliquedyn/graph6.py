@@ -11,6 +11,7 @@ m lines "u v" with 0-based endpoints.
 from __future__ import annotations
 
 import binascii
+import re
 
 from .graphs import Graph
 
@@ -23,11 +24,12 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-# base64 digit v (alphabet A-Z a-z 0-9 + /) to the graph6 character 63 + v
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+# base64 digit v (alphabet A-Z a-z 0-9 + /) to the graph6 character 63 + v, and back
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+# the first character outside chr(63) .. chr(126)
+_OUTSIDE_GRAPH6 = re.compile(r"[^?-~]")
 
 
 def encode(g: Graph) -> str:
@@ -60,51 +62,64 @@ def encode(g: Graph) -> str:
 
 
 def decode(text: str) -> Graph:
+    """Graph of a graph6 string, with or without the ">>graph6<<" prefix.
+
+    The inverse of `encode`: the body's characters map back to base64
+    digits, which `a2b_base64` unpacks into one int; its bit string is
+    the joined columns, and column j, reversed, is the low j bits of row
+    j. Only the set bits of a column are written into the rows above it.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = [ord(c) - 63 for c in s]
-    for pos, val in enumerate(data):
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"character {s[pos]!r} outside graph6 range", pos)
-    if data[0] < 63:
-        n = data[0]
+    bad = _OUTSIDE_GRAPH6.search(s)
+    if bad:
+        raise Graph6Error(f"character {bad.group()!r} outside graph6 range", bad.start())
+    head = [ord(c) - 63 for c in s[:8]]
+    if head[0] < 63:
+        n = head[0]
         body = 1
-    elif len(data) >= 2 and data[1] < 63:
-        if len(data) < 4:
+    elif len(s) >= 2 and head[1] < 63:
+        if len(s) < 4:
             raise Graph6Error("truncated extended length header", len(s))
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
         body = 4
     else:
-        if len(data) < 8:
+        if len(s) < 8:
             raise Graph6Error("truncated long length header", len(s))
         n = 0
-        for val in data[2:8]:
+        for val in head[2:8]:
             n = (n << 6) | val
         body = 8
     need_bits = n * (n - 1) // 2
     need_chars = (need_bits + 5) // 6
-    if len(data) - body != need_chars:
+    if len(s) - body != need_chars:
         raise Graph6Error(
-            f"expected {need_chars} body chars for n={n}, got {len(data) - body}",
+            f"expected {need_chars} body chars for n={n}, got {len(s) - body}",
             min(body + need_chars, len(s)),
         )
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            val = data[body + pos // 6]
-            if (val >> (5 - pos % 6)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
     # trailing pad bits must be zero
-    if need_bits % 6:
-        tail = data[body + need_chars - 1]
-        if tail & ((1 << (6 - need_bits % 6)) - 1):
-            raise Graph6Error("nonzero padding bits", body + need_chars - 1)
+    if need_bits % 6 and (ord(s[-1]) - 63) & ((1 << (6 - need_bits % 6)) - 1):
+        raise Graph6Error("nonzero padding bits", body + need_chars - 1)
+    # whole 4-digit groups, padded with the zero digit "A"
+    digits = s[body:].encode("ascii").translate(_GRAPH6_TO_BASE64) + b"A" * (-need_chars % 4)
+    packed = binascii.a2b_base64(digits)
+    cols = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
+    rows = [0] * n
+    start = 0
+    for j in range(1, n):
+        col = cols[start : start + j]
+        start += j
+        i = col.find("1")
+        if i < 0:
+            continue
+        rows[j] = int(col[::-1], 2)
+        bit = 1 << j
+        while i >= 0:
+            rows[i] |= bit
+            i = col.find("1", i + 1)
     return Graph(n, rows)
 
 

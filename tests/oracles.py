@@ -3,11 +3,13 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Eleven are the library's earlier code, kept as it was when other
+one. Thirteen are the library's earlier code, kept as it was when other
 code replaced it: plain pivoting Bron-Kerbosch, the one-seed greedy
 octahedron search, partition refinement that counts every vertex into
 every splitter, the triangle count that walks neighbours with `bits`,
-the graph6 encoder that packs one bit per step, the divergence screen
+the graph6 encoder that packs one bit per step and the decoder that
+unpacks one bit per step, the classifier that canonizes both iterates
+of every repeat, the divergence screen
 that builds the complement and the full join decomposition of every
 graph, the recursive coaffination search, the class list step that
 runs one full canonical search per labeled graph, the generic regular
@@ -23,17 +25,23 @@ from collections import Counter
 from itertools import combinations, permutations
 
 from cliquedyn import (
+    DEFAULT_LIMITS,
+    BehaviorResult,
     CliqueLimitError,
     ConnectedSumCertificate,
     CycleComplementCertificate,
     Graph,
     OctahedronCertificate,
     ThreeSummandsCertificate,
+    Limits,
     bits,
+    canonical_form,
     canonical_graph,
+    clique_graph,
     complement,
     connected_components,
     cycle_graph,
+    divergence_certificate,
     disjoint_union,
     empty_graph,
     encode,
@@ -45,6 +53,8 @@ from cliquedyn import (
     maximal_cliques,
     triangle_count,
 )
+from cliquedyn.behavior import IterateStat, _fingerprint, _iterate_invariant
+from cliquedyn.graph6 import Graph6Error
 
 
 def isomorphic_brute(g: Graph, h: Graph) -> bool:
@@ -299,6 +309,106 @@ def encode_reference(g: Graph) -> str:
         acc <<= 6 - nbits
         out.append(chr(63 + acc))
     return "".join(out)
+
+
+def decode_reference(text: str) -> Graph:
+    """`graph6.decode` as it was: the upper triangle unpacked one bit per step."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    data = [ord(c) - 63 for c in s]
+    for pos, val in enumerate(data):
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"character {s[pos]!r} outside graph6 range", pos)
+    if data[0] < 63:
+        n = data[0]
+        body = 1
+    elif len(data) >= 2 and data[1] < 63:
+        if len(data) < 4:
+            raise Graph6Error("truncated extended length header", len(s))
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = 4
+    else:
+        if len(data) < 8:
+            raise Graph6Error("truncated long length header", len(s))
+        n = 0
+        for val in data[2:8]:
+            n = (n << 6) | val
+        body = 8
+    need_bits = n * (n - 1) // 2
+    need_chars = (need_bits + 5) // 6
+    if len(data) - body != need_chars:
+        raise Graph6Error(
+            f"expected {need_chars} body chars for n={n}, got {len(data) - body}",
+            min(body + need_chars, len(s)),
+        )
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            val = data[body + pos // 6]
+            if (val >> (5 - pos % 6)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    if need_bits % 6:
+        tail = data[body + need_chars - 1]
+        if tail & ((1 << (6 - need_bits % 6)) - 1):
+            raise Graph6Error("nonzero padding bits", body + need_chars - 1)
+    return Graph(n, rows)
+
+
+def classify_behavior_reference(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResult:
+    """`classify_behavior` as it was: every repeat is settled by
+    canonizing both iterates, with no star test."""
+    iterates: list[Graph] = []
+    invariants: list[tuple] = []
+    canon_cache: dict[int, str] = {}
+    known: dict = {}
+
+    def canon_of(idx: int) -> str:
+        if idx not in canon_cache:
+            canon_cache[idx] = canonical_form(iterates[idx], known)
+        return canon_cache[idx]
+
+    def result(status: str, done: int, **found) -> BehaviorResult:
+        trace = []
+        for idx, inv in enumerate(invariants):
+            if idx in canon_cache:
+                fp = _fingerprint(canon_cache[idx])
+            else:
+                fp = "~" + _fingerprint(repr(inv))[:11]
+            trace.append(IterateStat(inv[0], inv[1], fp))
+        return BehaviorResult(
+            status,
+            iterations_done=done,
+            max_order_seen=max(t.order for t in trace),
+            trace=tuple(trace),
+            **found,
+        )
+
+    cur = g
+    for i in range(limits.max_iterations + 1):
+        iterates.append(cur)
+        cert = divergence_certificate(cur)
+        if cert is not None:
+            invariants.append((cur.n, cur.edge_count(), ()))
+            return result("divergent", i, certificate=cert, detected_at=i)
+        inv = _iterate_invariant(cur)
+        invariants.append(inv)
+        for j in range(i):
+            if invariants[j] == inv and canon_of(i) == canon_of(j):
+                return result("convergent", i, tail=j, period=i - j)
+        if i == limits.max_iterations:
+            break
+        try:
+            cur, _ = clique_graph(cur, cap=min(limits.max_cliques, limits.max_vertices))
+        except CliqueLimitError:
+            limit = "clique-cap" if limits.max_cliques <= limits.max_vertices else "vertex-cap"
+            return result("unknown", i, limit=limit)
+    return result("unknown", limits.max_iterations, limit="iteration-cap")
 
 
 def divergence_certificate_reference(g: Graph):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquedyn import (
+    DEFAULT_LIMITS,
+    CliqueLimitError,
     ConnectedSumCertificate,
     CycleComplementCertificate,
     Graph,
@@ -37,7 +39,13 @@ from cliquedyn import behavior
 from cliquedyn.behavior import clique_count
 from cliquedyn.graph6 import decode
 
-from oracles import divergence_certificate_reference, triangle_count_reference
+from oracles import (
+    classify_behavior_reference,
+    divergence_certificate_reference,
+    isomorphic_brute,
+    triangle_count_reference,
+)
+import oracles
 from strategies import graphs, permutations_of
 
 
@@ -458,11 +466,14 @@ def test_classify_behavior_reports_are_pinned(limits, tripped, digest):
 
 def test_trace_orders_and_edge_counts_are_the_iterates():
     # the classifier takes each trace entry's edge count from the degree
-    # sum of its invariant; replaying the clique graph sequence recounts it
+    # sum of its invariant; replaying the clique graph sequence recounts it.
+    # The reference, which canonizes both iterates of every repeat, gives
+    # the same report.
     outcomes = set()
     for limits in _PIN_LIMITS:
         for g in _pin_inputs():
             doc = classify_behavior(g, limits).to_json()
+            assert doc == classify_behavior_reference(g, limits).to_json()
             cur = g
             for i, stat in enumerate(doc["trace"]):
                 if i:
@@ -540,3 +551,128 @@ def test_screen_matches_the_replaced_code_on_joins(summands, data):
     g = relabel(g, data.draw(permutations_of(g.n)))
     assert divergence_certificate(g) == divergence_certificate_reference(g)
     assert triangle_count(g) == triangle_count_reference(g)
+
+
+# -- the star proof of period-2 repeats -----------------------------------------
+
+SCAN = Limits(max_iterations=15, max_vertices=400, max_cliques=40_000)
+
+
+def _converge_inputs(seed: int, count: int = 200) -> list[Graph]:
+    # the benchmark's converge shape: G(n, 0.25), n = 12..19 in equal shares
+    rng = random.Random(seed)
+    out = []
+    for idx in range(count):
+        n = 12 + idx % 8
+        out.append(
+            Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25])
+        )
+    return out
+
+
+def test_converge_shaped_reports_are_pinned():
+    # computed before period-2 repeats were proved from stars; 181 of the
+    # 200 end on such a repeat
+    h = hashlib.sha256()
+    periods = []
+    for g in _converge_inputs(1219):
+        doc = classify_behavior(g, SCAN).to_json()
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        periods.append(doc.get("period"))
+    assert periods.count(2) == 181
+    assert h.hexdigest() == "c678f50d3255a1650b0d729896bb9b8498034379acad357d0bb989e0bf599833"
+
+
+def _all_graphs(max_n: int):
+    for n in range(max_n + 1):
+        pairs = n * (n - 1) // 2
+        for upper in range(1 << pairs):
+            yield Graph.from_upper_bits(n, upper)
+
+
+def test_classify_behavior_matches_the_reference():
+    # the reference canonizes both iterates of every repeat; the pinned
+    # inputs are compared in test_trace_orders_and_edge_counts_are_the_iterates
+    cases = [(g, SCAN) for g in _converge_inputs(77)]
+    cases += [(g, DEFAULT_LIMITS) for g in _all_graphs(5)]
+    for g, limits in cases:
+        assert classify_behavior(g, limits).to_json() == classify_behavior_reference(g, limits).to_json()
+
+
+def _star_passes(g: Graph, steps: int, cap: int):
+    """(H, K^2(H), cliques of H, cliques of K(H)) for each iterate H of g,
+    up to `steps` clique graphs, whose stars pass the star test."""
+    iterates, cliques = [g], []
+    try:
+        for _ in range(steps):
+            nxt, found = clique_graph(iterates[-1], cap=cap)
+            iterates.append(nxt)
+            cliques.append(found)
+    except CliqueLimitError:
+        pass
+    for i in range(2, len(iterates)):
+        h = iterates[i - 2]
+        if behavior._stars_are_the_cliques(h.n, cliques[i - 2], cliques[i - 1]):
+            yield h, iterates[i], cliques[i - 2], cliques[i - 1]
+
+
+def _star_map(h: Graph, cliques, next_cliques) -> list[int]:
+    # v -> the vertex of K^2(H) that is v's star
+    index = {m: k for k, m in enumerate(next_cliques)}
+    return [index[sum(1 << k for k, m in enumerate(cliques) if m >> v & 1)] for v in range(h.n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8))
+def test_star_pass_proves_the_period_two_repeat(g):
+    for h, k2, cliques, next_cliques in _star_passes(g, 4, 300):
+        if h.n <= 8:
+            assert isomorphic_brute(h, k2)
+        else:
+            assert are_isomorphic(h, k2)
+        assert relabel(h, _star_map(h, cliques, next_cliques)) == k2
+
+
+def test_star_pass_proves_the_period_two_repeat_on_converge_inputs():
+    passes = 0
+    for g in _converge_inputs(78, 40):
+        for h, k2, cliques, next_cliques in _star_passes(g, 6, 400):
+            assert are_isomorphic(h, k2)
+            assert relabel(h, _star_map(h, cliques, next_cliques)) == k2
+            passes += 1
+    assert passes >= 30
+
+
+def _counting_canon(monkeypatch, module):
+    calls = []
+    real = module.canonical_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "canonical_form", counting)
+    return calls
+
+
+def test_period_two_repeat_is_settled_by_one_canonical_form(monkeypatch):
+    # K(K_{2,3}) is the prism and K(prism) is K_{2,3} again, iterates 5, 6, 5;
+    # the stars of K_{2,3} are the prism's cliques, so one form fingerprints both
+    g = complete_bipartite(2, 3)
+    calls = _counting_canon(monkeypatch, behavior)
+    r = classify_behavior(g)
+    assert (r.tail, r.period) == (0, 2)
+    assert [t.order for t in r.trace] == [5, 6, 5]
+    assert calls == [5]
+    # the reference, patched the same way, canonizes both iterates
+    ref_calls = _counting_canon(monkeypatch, oracles)
+    assert classify_behavior_reference(g).to_json() == r.to_json()
+    assert ref_calls == [5, 5]
+
+
+def test_twin_stars_are_not_a_repeat():
+    # K2's two vertices share one star, so its stars are K(K2)'s one clique
+    # as a set; only n distinct stars prove the repeat, and K2 has period 1
+    r = classify_behavior(complete_graph(2))
+    assert (r.status, r.tail, r.period) == ("convergent", 1, 1)
+    assert not behavior._stars_are_the_cliques(2, (0b11,), (0b1,))

@@ -13,7 +13,7 @@ from cliquedyn.graph6 import (
     read_graph6_lines,
 )
 
-from oracles import encode_reference
+from oracles import decode_reference, encode_reference
 from strategies import graphs
 
 
@@ -78,6 +78,63 @@ def test_encode_matches_the_bit_by_bit_reference():
     g = _random_graph(rng, 300, 0.3)
     assert encode(g) == encode_reference(g)
     assert decode(encode(g)) == g
+
+
+def _decoded_or_error(decoder, text: str):
+    try:
+        return decoder(text)
+    except Graph6Error as err:
+        return str(err), err.offset
+
+
+def test_decode_matches_the_bit_by_bit_reference():
+    # the encoder test's shapes: every n from 0 to 70, both header forms
+    rng = random.Random(20261020)
+    texts = []
+    for n in range(71):
+        for p in (0.0, rng.random(), rng.random(), 1.0):
+            texts.append(encode(_random_graph(rng, n, p)))
+    texts.append(encode(_random_graph(rng, 300, 0.3)))
+    for text in texts:
+        assert decode(text) == decode_reference(text)
+        assert decode(">>graph6<<" + text + "\n") == decode_reference(text)
+
+
+def test_decode_rejects_malformed_input_as_the_reference_does():
+    k4 = encode(complete_graph(4))
+    long = encode(empty_graph(70))
+    cases = [
+        "",
+        "  \n",
+        ">>graph6<<",
+        "C",
+        "C~~",
+        k4 + chr(200),
+        "C" + chr(62),
+        "C" + chr(127),
+        chr(62) + "~",
+        "C~" + "\u20ac",
+        "D~~",  # n = 5 has 10 bits: "~" sets both pad bits, "|" one, "{" none
+        "D~|",
+        "D~{",
+        "~",
+        "~?",
+        "~??",
+        "~??A",
+        long[:-1],
+        long + "?",
+        "~~",
+        "~~?????",
+        "~~??????",
+        "~~???????",
+    ]
+    valid = []
+    for text in cases:
+        got = _decoded_or_error(decode, text)
+        assert got == _decoded_or_error(decode_reference, text), text
+        if isinstance(got, Graph):
+            valid.append(text)
+    assert valid == ["D~{", "~~??????"]
 
 
 def _peak_bytes(fn, g) -> int:
