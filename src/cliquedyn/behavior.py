@@ -22,6 +22,11 @@ coaffination permutations), and each certificate validates itself:
 `validate(g)` re-checks its witness against g alone, sharing no code with
 the search that issued it. The classifier reports Unknown when a
 resource limit trips; it never guesses.
+
+A certificate proves divergence, so no iterate of a sequence that
+repeats has one. The classifier leans on that: when the clique stars
+of iterate i - 2 prove iterate i isomorphic to it, iterate i is
+neither built nor screened.
 """
 from __future__ import annotations
 
@@ -309,7 +314,7 @@ def _fingerprint(data: str) -> str:
 
 
 def _iterate_invariant(g: Graph) -> tuple:
-    degrees = sorted(g.degrees())
+    degrees = sorted(map(int.bit_count, g.rows))
     inv: tuple = (g.n, sum(degrees) // 2, tuple(degrees))
     if g.n <= 64:
         inv += (triangle_count(g),)
@@ -352,18 +357,23 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
     invariant-derived (marked with "~") otherwise.
 
     Most sequences end with iterate i isomorphic to iterate i - 2, and
-    a star test proves that repeat without a second canonization. The
-    star of a vertex v of H = iterate i - 2 is the set of H's maximal
-    cliques through v. If the n stars of H are the maximal cliques of
-    K(H), v -> star(v) is an isomorphism from H onto K^2(H), since u ~ v
+    a star test proves that repeat before iterate i is built. The star
+    of a vertex v of H = iterate i - 2 is the set of H's maximal cliques
+    through v. If the n stars of H are the maximal cliques of K(H),
+    v -> star(v) is an isomorphism from H onto K^2(H), since u ~ v
     exactly when their stars meet. For a clique-Helly H the maximal
     cliques of K(H) are its maximal stars (Escalante, "Über iterierte
     Clique-Graphen", 1973; Bandelt and Prisner, "Clique graphs and Helly
-    graphs", 1991), so the test passes whenever K(H) has n cliques.
-    Iterate i then takes iterate i - 2's invariant, and one canonical
-    form, i - 2's if already computed, else i's, fingerprints both.
-    Earlier iterates are compared as above, so the same iterates are
-    canonized and the report does not change.
+    graphs", 1991), so the test passes whenever K(H) has n cliques. It
+    runs once K(H)'s cliques are enumerated, and when it passes,
+    iterate i is neither built nor screened: the sequence is periodic,
+    and each certificate proves divergence, so none exists for iterate
+    i under any labeling. Iterate i takes iterate i - 2's invariant,
+    and iterate i - 2's canonical form fingerprints both. No earlier
+    iterate can match: each was compared with iterate i - 2, on the
+    same invariant and form, when iterate i - 2 was reached. So the same
+    repeat is reported with the same fingerprints as by building
+    iterate i and comparing it with every earlier one.
     """
     iterates: list[Graph] = []
     invariants: list[tuple] = []
@@ -393,30 +403,32 @@ def classify_behavior(g: Graph, limits: Limits = DEFAULT_LIMITS) -> BehaviorResu
         )
 
     cur = g
-    cliques: tuple[tuple[int, ...], ...] = ()  # the maximal cliques of iterates i - 2 and i - 1
+    cliques: tuple[int, ...] | None = None  # the maximal cliques of iterate i - 1
     for i in range(limits.max_iterations + 1):
         iterates.append(cur)
         cert = divergence_certificate(cur)
         if cert is not None:
             invariants.append((cur.n, cur.edge_count(), ()))
             return result("divergent", i, certificate=cert, detected_at=i)
-        twin = len(cliques) == 2 and _stars_are_the_cliques(iterates[i - 2].n, *cliques)
-        inv = invariants[i - 2] if twin else _iterate_invariant(cur)
+        inv = _iterate_invariant(cur)
         invariants.append(inv)
-        for j in range(i - 2 if twin else i):
+        for j in range(i):
             if invariants[j] == inv and canon_of(i) == canon_of(j):
                 return result("convergent", i, tail=j, period=i - j)
-        if twin:
-            canon_cache[i] = canon_cache[i - 2] = canon_cache.get(i - 2) or canon_of(i)
-            return result("convergent", i, tail=i - 2, period=2)
         if i == limits.max_iterations:
             break
         try:
-            cur, cl = clique_graph(cur, cap=min(limits.max_cliques, limits.max_vertices))
+            cl = maximal_cliques(cur, cap=min(limits.max_cliques, limits.max_vertices))
         except CliqueLimitError:
             limit = "clique-cap" if limits.max_cliques <= limits.max_vertices else "vertex-cap"
             return result("unknown", i, limit=limit)
-        cliques = cliques[-1:] + (cl,)
+        if cliques is not None and _stars_are_the_cliques(iterates[i - 1].n, cliques, cl):
+            # iterate i + 1 is iterate i - 1 up to isomorphism: not built
+            invariants.append(invariants[i - 1])
+            canon_cache[i + 1] = canon_of(i - 1)
+            return result("convergent", i + 1, tail=i - 1, period=2)
+        cur, _ = clique_graph(cur, cliques=cl)
+        cliques = cl
     return result("unknown", limits.max_iterations, limit="iteration-cap")
 
 

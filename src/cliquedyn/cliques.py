@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, mask_of
 
 DEFAULT_CLIQUE_CAP = 2_000_000
 # greedy octahedron search passes: seeds tried per step, in order
@@ -134,23 +134,35 @@ def _octahedron_pairs(g: Graph, t: int) -> list[tuple[int, int]] | None:
     most of `alive`) of each of the w alive vertices with fewest alive
     non-neighbours, and keeps the pair that keeps most; one pass per
     width in OCTAHEDRON_WIDTHS, until one finds t pairs. A vertex of an
-    induced O_t has degree 2t - 2 to n - 2, so only those start alive.
+    induced O_t has degree 2t - 2 to n - 2, so only those start alive,
+    and there is no search unless 2t degrees reach 2t - 2.
     """
     n, rows = g.n, g.rows
     if n < 2 * t:
         return None
-    start = mask_of(v for v, row in enumerate(rows) if 2 * t - 2 <= row.bit_count() <= n - 2)
+    degrees = list(map(int.bit_count, rows))
+    if sorted(degrees)[-2 * t] < 2 * t - 2:
+        return None
+    start = mask_of(v for v, d in enumerate(degrees) if 2 * t - 2 <= d <= n - 2)
     if start.bit_count() < 2 * t:
         return None
     for width in OCTAHEDRON_WIDTHS:
         alive = start
         pairs: list[tuple[int, int]] = []
-        while len(pairs) < t and alive.bit_count() >= 2 * (t - len(pairs)):
-            # (count, vertex), ascending; alive & ~row counts the vertex
-            # itself, so 2 is one non-neighbour and none can do better
+        while len(pairs) < t:
+            size = alive.bit_count()
+            if size < 2 * (t - len(pairs)):
+                break
+            # (count, vertex), ascending; the count of alive vertices off
+            # the row includes the vertex itself, so 2 is one non-neighbour
+            # and none can do better
             seeds: list[tuple[int, int]] = []
-            for v in bits(alive):
-                c = (alive & ~rows[v]).bit_count()
+            q = alive
+            while q:
+                low = q & -q
+                q ^= low
+                v = low.bit_length() - 1
+                c = size - (alive & rows[v]).bit_count()
                 if 1 < c and (len(seeds) < width or c < seeds[-1][0]):
                     insort(seeds, (c, v))
                     del seeds[width:]
@@ -158,25 +170,37 @@ def _octahedron_pairs(g: Graph, t: int) -> list[tuple[int, int]] | None:
                         break
             if not seeds:
                 break
-            tried = []
+            # |keep & rows[b]| is what the pair (a, b) keeps of alive: the
+            # first seed, then the first partner, to keep most wins
+            best = -1
             for _, a in seeds:
                 keep = alive & rows[a]
-                tried.append((a, max(bits(alive & ~keep & ~(1 << a)), key=lambda v: (keep & rows[v]).bit_count())))
-            a, b = max(tried, key=lambda ab: (alive & rows[ab[0]] & rows[ab[1]]).bit_count())
-            pairs.append((a, b))
-            alive &= rows[a] & rows[b]
+                q = alive ^ keep ^ (1 << a)
+                while q:
+                    low = q & -q
+                    q ^= low
+                    v = low.bit_length() - 1
+                    c = (keep & rows[v]).bit_count()
+                    if c > best:
+                        best, pair = c, (a, v)
+            pairs.append(pair)
+            alive &= rows[pair[0]] & rows[pair[1]]
         if len(pairs) == t:
             return pairs
     return None
 
 
-def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[Graph, tuple[int, ...]]:
+def clique_graph(
+    g: Graph, cap: int = DEFAULT_CLIQUE_CAP, *, cliques: tuple[int, ...] | None = None
+) -> tuple[Graph, tuple[int, ...]]:
     """The intersection graph of the maximal cliques of g.
 
     Vertex i of the returned graph is clique mask i of the returned
     tuple; vertices are adjacent iff the cliques share a vertex.
+    `cliques`, when given, must be `maximal_cliques(g)` as a caller has
+    already enumerated it: it is used as is, and `cap` is not read.
     """
-    cl = maximal_cliques(g, cap=cap)
+    cl = maximal_cliques(g, cap=cap) if cliques is None else cliques
     # through[v]: mask of the cliques through v; a clique's row is the
     # union of its vertices' masks, less itself
     through = [0] * g.n

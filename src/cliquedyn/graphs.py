@@ -92,10 +92,10 @@ class Graph:
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.rows)
+        return tuple(map(int.bit_count, self.rows))
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)

@@ -3,10 +3,11 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Thirteen are the library's earlier code, kept as it was when other
+one. Fourteen are the library's earlier code, kept as it was when other
 code replaced it: plain pivoting Bron-Kerbosch, the one-seed greedy
-octahedron search, partition refinement that counts every vertex into
-every splitter, the triangle count that walks neighbours with `bits`,
+octahedron search and the two-pass search that followed it, partition
+refinement that counts every vertex into every splitter, the triangle
+count that walks neighbours with `bits`,
 the graph6 encoder that packs one bit per step and the decoder that
 unpacks one bit per step, the classifier that canonizes both iterates
 of every repeat, the divergence screen
@@ -21,6 +22,7 @@ at the end is not brute force either: it is a second exhaustive cubic
 route, built from the 2-edge reduction theorem rather than from
 labelings.
 """
+from bisect import insort
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -54,6 +56,7 @@ from cliquedyn import (
     triangle_count,
 )
 from cliquedyn.behavior import IterateStat, _fingerprint, _iterate_invariant
+from cliquedyn.cliques import OCTAHEDRON_WIDTHS
 from cliquedyn.graph6 import Graph6Error
 
 
@@ -185,6 +188,45 @@ def octahedron_pairs_reference(g: Graph, t: int) -> list[tuple[int, int]] | None
         pairs.append((a, b))
         alive = keep & rows[b]
     return pairs
+
+
+def octahedron_pairs_two_pass_reference(g: Graph, t: int) -> list[tuple[int, int]] | None:
+    """t pairs inducing O_t by the greedy passes `_octahedron_pairs` had, or None.
+
+    One pass per width in OCTAHEDRON_WIDTHS: each step ranks the alive
+    vertices by `(alive & ~row).bit_count()`, takes each of the `width`
+    best seeds' partner by one `max` and the best pair by a second.
+    """
+    n, rows = g.n, g.rows
+    if n < 2 * t:
+        return None
+    start = mask_of(v for v, row in enumerate(rows) if 2 * t - 2 <= row.bit_count() <= n - 2)
+    if start.bit_count() < 2 * t:
+        return None
+    for width in OCTAHEDRON_WIDTHS:
+        alive = start
+        pairs: list[tuple[int, int]] = []
+        while len(pairs) < t and alive.bit_count() >= 2 * (t - len(pairs)):
+            seeds: list[tuple[int, int]] = []
+            for v in bits(alive):
+                c = (alive & ~rows[v]).bit_count()
+                if 1 < c and (len(seeds) < width or c < seeds[-1][0]):
+                    insort(seeds, (c, v))
+                    del seeds[width:]
+                    if len(seeds) == width and seeds[-1][0] == 2:
+                        break
+            if not seeds:
+                break
+            tried = []
+            for _, a in seeds:
+                keep = alive & rows[a]
+                tried.append((a, max(bits(alive & ~keep & ~(1 << a)), key=lambda v: (keep & rows[v]).bit_count())))
+            a, b = max(tried, key=lambda ab: (alive & rows[ab[0]] & rows[ab[1]]).bit_count())
+            pairs.append((a, b))
+            alive &= rows[a] & rows[b]
+        if len(pairs) == t:
+            return pairs
+    return None
 
 
 def refine_reference(rows, cells: list[int], worklist: list[int]) -> list[int]:

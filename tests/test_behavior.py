@@ -28,6 +28,7 @@ from cliquedyn import (
     disjoint_union,
     divergence_certificate,
     empty_graph,
+    enumerate_regular,
     is_helly,
     join,
     join_summands,
@@ -35,9 +36,11 @@ from cliquedyn import (
     relabel,
     triangle_count,
 )
+import cliquedyn.cliques
 from cliquedyn import behavior
 from cliquedyn.behavior import clique_count
 from cliquedyn.graph6 import decode
+from cliquedyn.regular import RegularGenSpec
 
 from oracles import (
     classify_behavior_reference,
@@ -591,9 +594,11 @@ def _all_graphs(max_n: int):
 
 
 def test_classify_behavior_matches_the_reference():
-    # the reference canonizes both iterates of every repeat; the pinned
-    # inputs are compared in test_trace_orders_and_edge_counts_are_the_iterates
+    # the reference builds, screens and canonizes both iterates of every
+    # repeat; the pinned inputs are compared in
+    # test_trace_orders_and_edge_counts_are_the_iterates
     cases = [(g, SCAN) for g in _converge_inputs(77)]
+    cases += [(complement(h), SCAN) for h in enumerate_regular(RegularGenSpec(3, 10))]
     cases += [(g, DEFAULT_LIMITS) for g in _all_graphs(5)]
     for g, limits in cases:
         assert classify_behavior(g, limits).to_json() == classify_behavior_reference(g, limits).to_json()
@@ -625,12 +630,15 @@ def _star_map(h: Graph, cliques, next_cliques) -> list[int]:
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=8))
 def test_star_pass_proves_the_period_two_repeat(g):
+    # the classifier neither builds nor screens K^2(H) on a pass, so no
+    # certificate may exist for it: the screen finds none either
     for h, k2, cliques, next_cliques in _star_passes(g, 4, 300):
         if h.n <= 8:
             assert isomorphic_brute(h, k2)
         else:
             assert are_isomorphic(h, k2)
         assert relabel(h, _star_map(h, cliques, next_cliques)) == k2
+        assert divergence_certificate(k2) is None
 
 
 def test_star_pass_proves_the_period_two_repeat_on_converge_inputs():
@@ -643,15 +651,28 @@ def test_star_pass_proves_the_period_two_repeat_on_converge_inputs():
     assert passes >= 30
 
 
-def _counting_canon(monkeypatch, module):
+def test_no_certificate_where_the_star_test_passes():
+    # the seeded twin of the hypothesis test's last assertion, on
+    # converge-shaped inputs, whose iterates are larger
+    passes = 0
+    for g in _converge_inputs(79, 300):
+        for _, k2, _, _ in _star_passes(g, 6, 400):
+            assert divergence_certificate(k2) is None
+            passes += 1
+    assert passes >= 300
+
+
+def _counting(monkeypatch, name, *modules):
+    # the orders of the graphs `name` is called on, through any of modules
     calls = []
-    real = module.canonical_form
+    real = getattr(modules[0], name)
 
     def counting(*args, **kwargs):
         calls.append(args[0].n)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "canonical_form", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -659,15 +680,31 @@ def test_period_two_repeat_is_settled_by_one_canonical_form(monkeypatch):
     # K(K_{2,3}) is the prism and K(prism) is K_{2,3} again, iterates 5, 6, 5;
     # the stars of K_{2,3} are the prism's cliques, so one form fingerprints both
     g = complete_bipartite(2, 3)
-    calls = _counting_canon(monkeypatch, behavior)
+    calls = _counting(monkeypatch, "canonical_form", behavior)
     r = classify_behavior(g)
     assert (r.tail, r.period) == (0, 2)
     assert [t.order for t in r.trace] == [5, 6, 5]
     assert calls == [5]
     # the reference, patched the same way, canonizes both iterates
-    ref_calls = _counting_canon(monkeypatch, oracles)
+    ref_calls = _counting(monkeypatch, "canonical_form", oracles)
     assert classify_behavior_reference(g).to_json() == r.to_json()
     assert ref_calls == [5, 5]
+
+
+def test_period_two_repeat_is_neither_built_nor_screened(monkeypatch):
+    # K_{2,3}'s stars are the prism's cliques, so iterate 2 is settled once
+    # they are listed: two enumerations, one iterate built, two screens
+    g = complete_bipartite(2, 3)
+    listed = _counting(monkeypatch, "maximal_cliques", behavior, cliquedyn.cliques)
+    built = _counting(monkeypatch, "clique_graph", behavior)
+    screened = _counting(monkeypatch, "divergence_certificate", behavior)
+    r = classify_behavior(g)
+    assert (listed, built, screened) == ([5, 6], [5], [5, 6])
+    # the reference builds the repeat and screens it
+    ref_built = _counting(monkeypatch, "clique_graph", oracles)
+    ref_screened = _counting(monkeypatch, "divergence_certificate", oracles)
+    assert classify_behavior_reference(g).to_json() == r.to_json()
+    assert (ref_built, ref_screened) == ([5, 6], [5, 6, 5])
 
 
 def test_twin_stars_are_not_a_repeat():

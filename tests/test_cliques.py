@@ -18,6 +18,7 @@ from cliquedyn import (
     cycle_graph,
     decode,
     empty_graph,
+    enumerate_regular,
     join,
     maximal_cliques,
     mask_of,
@@ -28,7 +29,11 @@ from cliquedyn import behavior, cliques
 from cliquedyn.census import ALL_CHECKS, run_census
 from cliquedyn.regular import RegularGenSpec
 
-from oracles import bron_kerbosch_reference, octahedron_pairs_reference
+from oracles import (
+    bron_kerbosch_reference,
+    octahedron_pairs_reference,
+    octahedron_pairs_two_pass_reference,
+)
 from strategies import graphs
 
 
@@ -237,6 +242,7 @@ def dense_graphs_and_caps(draw):
 def test_octahedron_screen_fires_only_past_the_cap(case):
     g, cap = case
     pairs = cliques._octahedron_pairs(g, cap.bit_length())
+    assert pairs == octahedron_pairs_two_pass_reference(g, cap.bit_length())
     reference = octahedron_pairs_reference(g, cap.bit_length())
     if reference is not None:
         assert pairs == reference
@@ -245,6 +251,42 @@ def test_octahedron_screen_fires_only_past_the_cap(case):
     assert_induces_octahedron(g, pairs, cap.bit_length())
     with pytest.raises(CliqueLimitError):
         bron_kerbosch_reference(g, cap)
+
+
+def test_octahedron_search_matches_the_two_pass_reference():
+    # pair for pair: seeded dense graphs, some with a planted O_t, at the t
+    # of caps 3 to 400, and every graph the SCAN cubic n = 10 census
+    # enumerates, the capped iterates of up to 373 vertices included
+    rng = random.Random(31)
+    cases = []
+    for _ in range(400):
+        t = rng.choice((2, 3, 4, 6, 9))
+        n = rng.randrange(2 * t, 2 * t + 40)
+        p = rng.choice((0.7, 0.8, 0.9, 0.95))
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if rng.random() < 0.3:
+            g = join(octahedron(t), g)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = relabel(g, perm)
+        cases.append((g, t))
+    for h in enumerate_regular(RegularGenSpec(3, 10)):
+        g = complement(h)
+        for _ in range(15):
+            cases.append((g, 9))
+            try:
+                g, _ = clique_graph(g, cap=400)
+            except CliqueLimitError:
+                break
+    found = 0
+    for g, t in cases:
+        pairs = cliques._octahedron_pairs(g, t)
+        assert pairs == octahedron_pairs_two_pass_reference(g, t)
+        if pairs is not None:
+            assert_induces_octahedron(g, pairs, t)
+            found += 1
+    assert 100 < found < len(cases) - 100
+    assert max(g.n for g, _ in cases) > 300
 
 
 def test_order_and_clique_graph_match_reference_on_random_graphs():
@@ -257,6 +299,8 @@ def test_order_and_clique_graph_match_reference_on_random_graphs():
         expected = bron_kerbosch_reference(g, cliques.DEFAULT_CLIQUE_CAP)
         kg, cl = clique_graph(g)
         assert cl == expected
+        # given the cliques, it neither enumerates nor reads the cap
+        assert clique_graph(g, 1, cliques=maximal_cliques(g)) == (kg, cl)
         assert kg.rows == tuple(
             sum(1 << j for j, b in enumerate(cl) if j != i and a & b) for i, a in enumerate(cl)
         )
