@@ -28,7 +28,7 @@ class list are then one per class: 94, 60 and 266 at (k, n) = (3, 12),
 from __future__ import annotations
 
 from . import graph6
-from .graphs import Graph, bits, permuted_rows, relabel
+from .graphs import Graph, permuted_rows, relabel
 
 # search-node budget of one find_coaffination call
 COAFF_NODE_CAP = 200_000
@@ -43,6 +43,9 @@ def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> lis
     A singleton splitter {s} gives counts 0 and 1 only, so its split of
     a cell is `cell & ~rows[s]` then `cell & rows[s]`, the same two
     fragments in the same order as counting each vertex would give.
+    Any other splitter counts a cell's vertices in order until one
+    differs from the first; a cell with no such vertex stays whole, and
+    only a cell that splits is grouped by count.
     Cells are never empty, so n cells are singletons, which no splitter
     splits: the refinement stops there, leaving the worklist unread.
     """
@@ -65,16 +68,26 @@ def _refine(rows: tuple[int, ...], cells: list[int], worklist: list[int]) -> lis
             if cell & (cell - 1) == 0:  # empty or singleton
                 new_cells.append(cell)
                 continue
-            groups: dict[int, int] = {}
-            q = cell
+            low = cell & -cell
+            first = (rows[low.bit_length() - 1] & splitter).bit_count()
+            q = cell ^ low
+            while q:
+                low = q & -q
+                d = (rows[low.bit_length() - 1] & splitter).bit_count()
+                if d != first:
+                    break
+                q ^= low
+            else:  # every count equal: the cell stays whole
+                new_cells.append(cell)
+                continue
+            # the vertices before `low` all count `first`; group the rest
+            groups = {first: cell ^ q, d: low}
+            q ^= low
             while q:
                 low = q & -q
                 d = (rows[low.bit_length() - 1] & splitter).bit_count()
                 groups[d] = groups.get(d, 0) | low
                 q ^= low
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
             for d in sorted(groups):
                 part = groups[d]
                 new_cells.append(part)
@@ -114,12 +127,13 @@ def _first_target_cell(cells: list[int]) -> int:
     best = -1
     best_size = 0
     for i, cell in enumerate(cells):
-        size = cell.bit_count()
-        if size >= 2 and (best < 0 or size < best_size):
-            best = i
-            best_size = size
+        if cell & (cell - 1):
+            size = cell.bit_count()
             if size == 2:
-                break
+                return i
+            if best < 0 or size < best_size:
+                best = i
+                best_size = size
     return best
 
 
@@ -173,7 +187,11 @@ class _CanonSearch:
         gen_count = -1
         explored: list[int] = []
         closure: set[int] = set()
-        for v in bits(cell):
+        q = cell
+        while q:
+            low = q & -q
+            q ^= low
+            v = low.bit_length() - 1
             if len(self.generators) != gen_count:
                 gen_count = len(self.generators)
                 applicable = [
@@ -183,7 +201,10 @@ class _CanonSearch:
             if v in closure:
                 continue
             explored.append(v)
-            closure |= orbit_closure([v], applicable)
+            if applicable:
+                closure |= orbit_closure([v], applicable)
+            else:
+                closure.add(v)
             refined = _individualize(self.rows, cells, tgt, v)
             resume = self._descend(refined, prefix + (v,), prefix_mask | 1 << v)
             if resume < len(prefix):

@@ -17,8 +17,15 @@ Exhaustive enumeration dispatches by degree:
     just placed, and two consecutive unplaced vertices; for the latter
     the run rule suffices: among each run of consecutive unplaced
     vertices whose rows are equal so far, the new row's neighbours are
-    a prefix of the run. So few labeled leaves reach canonization, and
-    no degree feasibility test is needed.
+    a prefix of the run. The placed swaps are read off the placed rows
+    sorted by rev(r), the sum of 2^(n-1-c) over the columns c of a row,
+    so that the lowest column where two rows differ decides their order.
+    The swap of a placed a with the new vertex v raises the string
+    exactly when rev(rv - {a}) > rev(rows[a] - {v}): a non-neighbour of
+    v raises when its rev is below rev(rv), and a neighbour only then,
+    so a walk up the sorted list decides every placed swap after v's at
+    most k placed neighbours and one entry more. So few labeled leaves
+    reach canonization, and no degree feasibility test is needed.
 
 All paths deduplicate through canonical forms and emit canonically
 labeled graphs sorted by their graph6 string, so output order is
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from bisect import bisect
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -232,21 +240,22 @@ def _regular_classes(k: int, n: int) -> tuple[Graph, ...]:
 
 # -- generic degrees: pruned row-by-row backtracking -------------------------
 
-def _placed_swap_raises(rows: list[int], rv: int, v: int) -> bool:
+def _placed_swap_raises(placed: list[tuple[int, int]], rv: int, rev_v: int, v: int,
+                        weight: list[int]) -> bool:
     """Whether swapping the labels of some placed a < v with v raises the string.
 
-    The string lists rows 0, 1, ... with columns ascending, 1 > 0; rows[a]
-    is the full row of a and rv the candidate row v. The swap changes the
-    string only where rows a and v differ outside columns a and v, so the
-    first change is at the lowest such column c: in row c at column a
-    when c < a, in row a at column c when c > a. Either way the swapped
-    string holds rv's bit c there: the swap raises the string exactly
-    when rv holds the lowest bit of rows[a] ^ rv outside bits a and v.
+    `placed` lists (rev(rows[a]), a) for the placed rows, ascending; rv
+    is the candidate row v and rev_v = rev(rv), with rev(r) the sum of
+    weight[c] = 2^(n-1-c) over the columns c of r. The walk up the list
+    stops at the first entry not below rev_v, where no swap can raise,
+    and at the first non-neighbour of v below it, which raises, so it
+    reads at most v's placed neighbours and one entry more. The proof is
+    in `_pruned_labeled_regular`.
     """
-    bit_v = 1 << v
-    for a in range(v):
-        diff = (rows[a] ^ rv) & ~((1 << a) | bit_v)
-        if rv & diff & -diff:
+    for rev_a, a in placed:
+        if rev_a >= rev_v:
+            return False
+        if not rv >> a & 1 or rev_v - weight[a] > rev_a - weight[v]:
             return True
     return False
 
@@ -257,8 +266,16 @@ def _common_neighbours_raise(rows: list[int], v: int) -> bool:
     With c(x, y) the number of common neighbours, the partial graph is
     dropped when (1) some edge (a, v), a < v, has c(a, v) > c(0, 1), or
     (2) c(0, 1) = 0, v >= 2 and some pair (a, v), a < v, has
-    c(a, v) > c(1, 2). It reads rows 0..v only, which are final, so
-    every count is final.
+    c(a, v) > c(1, 2). Every count it takes is final: rows 0..v are,
+    and so are the columns below v of every later row.
+
+    Rule 1 counts each neighbour a < v on its row. Rule 2 reads c(a, v)
+    as the number of v's neighbours w whose rows hold column a, so it
+    takes the at most k rows of rv, not the v rows below it: folding
+    them in one at a time, `once`, `twice` and `thrice` hold the columns
+    seen in at least one, two and three of them, and a count above a
+    bound b <= 2 is a bit of the (b+1)-th mask below column v. A bound
+    above 2 (a K_{3,3}-like piece) compares each a < v on its row.
 
     No class loses its lexicographically largest labeling. Its row 0 is
     {1..k}, so row 1 reads 1^c 0^(k-1-c) 1^(k-1-c) 0... from column 2
@@ -282,10 +299,18 @@ def _common_neighbours_raise(rows: list[int], v: int) -> bool:
     if top or v < 2:
         return False
     bound = (rows[1] & rows[2]).bit_count()
-    for a in range(v):
-        if (rows[a] & rv).bit_count() > bound:
-            return True
-    return False
+    if bound > 2:
+        return any((rows[a] & rv).bit_count() > bound for a in range(v))
+    once = twice = thrice = 0
+    q = rv
+    while q:
+        low = q & -q
+        r = rows[low.bit_length() - 1]
+        thrice |= twice & r
+        twice |= once & r
+        once |= r
+        q ^= low
+    return bool((once, twice, thrice)[bound] & ((1 << v) - 1))
 
 
 def _pruned_labeled_regular(n: int, k: int):
@@ -317,8 +342,33 @@ def _pruned_labeled_regular(n: int, k: int):
     take a prefix of every run of equal rows. The test only cuts
     earlier; a partial graph it drops would fail the placed-pair test
     once row w + 1 is placed.
+
+    The placed pairs cost O(k) per combination, not O(v). Let rev(r) be
+    the sum of 2^(n-1-c) over the columns c of a row r, so that a lower
+    column weighs more: of two sets, the one holding the lowest column
+    where they differ has the larger rev. The swap (a, v), a < v,
+    changes the string only where rows a and v differ outside columns a
+    and v, so the first change is at the lowest such column c: in row c
+    at column a when c < a, in row a at column c when c > a. Either way
+    the swapped string holds rv's bit c there, so the swap raises exactly
+    when rev(rv - {a}) > rev(rows[a] - {v}). `placed` keeps the pairs
+    (rev(rows[a]), a) of the placed rows sorted; a row's pair goes in
+    when the row is placed and comes out on backtrack. When a is not
+    adjacent to v neither set loses an element, and the swap raises
+    exactly when rev(rows[a]) < rev(rv): the least listed value that is
+    not one of v's at most k placed neighbours decides every
+    non-neighbour at once. A neighbour a raises when
+    rev(rv) - 2^(n-1-a) > rev(rows[a]) - 2^(n-1-v), which, as
+    2^(n-1-a) > 2^(n-1-v), needs rev(rows[a]) < rev(rv) too. So
+    `_placed_swap_raises` walks the list up from its least pair, takes
+    one comparison per neighbour, and stops at the first pair not below
+    rev(rv) (no later pair raises) or at the first non-neighbour (it
+    raises). rev(rv) is rev(rows[v]) before the combination, computed
+    once per node, plus one weight per chosen column.
     """
     rows = [0] * n
+    weight = [1 << (n - 1 - c) for c in range(n)]
+    placed: list[tuple[int, int]] = []  # (rev(rows[a]), a) of the placed rows, ascending
     out: list[Graph] = []
 
     def place(v: int):
@@ -332,6 +382,12 @@ def _pruned_labeled_regular(n: int, k: int):
                 tied |= 1 << w
         bit_v = 1 << v
         base = rows[v]
+        rev_base = 0
+        q = base
+        while q:
+            low = q & -q
+            rev_base += weight[low.bit_length() - 1]
+            q ^= low
         for combo in combinations(avail, k - base.bit_count()):
             cm = 0
             for w in combo:
@@ -339,14 +395,20 @@ def _pruned_labeled_regular(n: int, k: int):
             if tied & cm & ~(cm << 1):
                 continue
             rv = base | cm
-            if _placed_swap_raises(rows, rv, v):
+            rev_v = rev_base
+            for w in combo:
+                rev_v += weight[w]
+            if _placed_swap_raises(placed, rv, rev_v, v, weight):
                 continue
-            rows[v] = rv  # the rules read rows 0..v, so the rest can wait
+            rows[v] = rv  # the rules read later rows below column v only, so theirs can wait
             if v and _common_neighbours_raise(rows, v):
                 continue
             for w in combo:
                 rows[w] |= bit_v
+            i = bisect(placed, (rev_v, v))
+            placed.insert(i, (rev_v, v))
             place(v + 1)
+            del placed[i]
             for w in combo:
                 rows[w] ^= bit_v
         rows[v] = base

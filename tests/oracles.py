@@ -696,6 +696,21 @@ def transposition_raises(ra: int, rv: int, a: int, v: int) -> bool:
     return bool(rv & diff & -diff)
 
 
+def placed_swap_raises_reference(rows: list[int], rv: int, v: int) -> bool:
+    """Whether swapping the labels of some placed a < v with v raises the string.
+
+    The generic route's placed-pair test before it read the swaps off the
+    sorted reversed rows: one comparison per a < v, each on the lowest
+    bit of rows[a] ^ rv outside bits a and v (see `transposition_raises`).
+    """
+    bit_v = 1 << v
+    for a in range(v):
+        diff = (rows[a] ^ rv) & ~((1 << a) | bit_v)
+        if rv & diff & -diff:
+            return True
+    return False
+
+
 def common_neighbours_raise_reference(rows: list[int], v: int) -> bool:
     """`regular._common_neighbours_raise` as `any` over generator expressions.
 

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -40,6 +42,7 @@ from oracles import (
     enumerate_regular_brute,
     irreducible_cubic_connected,
     low_degree_classes_reference,
+    placed_swap_raises_reference,
     pruned_labeled_regular_reference,
     sorted_canonical_reference,
     transposition_raises,
@@ -655,11 +658,106 @@ def test_mask_rule_and_placed_swap_helper_match_the_per_pair_calls(state):
     assert bool(tied & cm & ~(cm << 1)) == any(
         transposition_raises(after[w], after[w + 1], w, w + 1) for w in range(v + 1, n - 1)
     )
-    assert _placed_swap_raises(rows, after[v], v) == any(
+    assert _placed_swap_decision(rows, after[v], v) == any(
         transposition_raises(rows[a], after[v], a, v) for a in range(v)
     )
     if v:
         assert _common_neighbours_raise(after, v) == common_neighbours_raise_reference(after, v)
+
+
+def _placed_swap_decision(rows, rv, v):
+    """`_placed_swap_raises` on rows 0..v-1 placed and rv as row v.
+
+    The reversed rows are read off each row's binary string, independently
+    of the weights the generator sums.
+    """
+    n = len(rows)
+    placed = sorted((int(f"{rows[a]:0{n}b}"[::-1], 2), a) for a in range(v))
+    rev_v = int(f"{rv:0{n}b}"[::-1], 2)
+    return _placed_swap_raises(placed, rv, rev_v, v, [1 << (n - 1 - c) for c in range(n)])
+
+
+@st.composite
+def relabeled_regular_graphs(draw):
+    """A seeded random k-regular graph, n <= 12 and k <= 5, under a drawn labeling."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=min(5, n - 1)).filter(lambda k: n * k % 2 == 0))
+    g = random_regular(k, n, seed=draw(st.integers(min_value=0, max_value=10_000)))
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_regular_graphs())
+def test_placed_swap_decision_matches_every_transposition(g):
+    # at every v, rows 0..v-1 are placed and g.rows[v] is the candidate row,
+    # with or without placed neighbours; small regular graphs often have
+    # twins, whose rows tie
+    for v in range(g.n):
+        rv = g.rows[v]
+        expected = any(transposition_raises(g.rows[a], rv, a, v) for a in range(v))
+        assert _placed_swap_decision(g.rows, rv, v) == expected
+        assert placed_swap_raises_reference(g.rows, rv, v) == expected
+
+
+def test_placed_swap_decision_matches_on_every_small_graph():
+    # every labeled graph on up to 5 vertices, every v
+    seen = set()
+    for n in range(1, 6):
+        for packed in range(1 << (n * (n - 1) // 2)):
+            rows = Graph.from_upper_bits(n, packed).rows
+            for v in range(n):
+                rv = rows[v]
+                expected = any(transposition_raises(rows[a], rv, a, v) for a in range(v))
+                assert _placed_swap_decision(rows, rv, v) == expected
+                seen.add(expected)
+    assert seen == {True, False}
+
+
+def _rule_two_graph(rng, bound):
+    """A bipartite graph with 0 on one side, 1 and 2 on the other, and c(1, 2) = bound.
+
+    Being bipartite, it has c(0, 1) = 0 and no edge with a common
+    neighbour, so rule 1 never drops it and rule 2 decides. At bound 3,
+    1 and 2 share a K_{3,3} piece, or a K_{4,4} piece away from them gives
+    pairs with 4 common neighbours.
+    """
+    n = rng.randrange(11, 13)
+    side = [1, 0, 0] + [w % 2 for w in range(3, 11)] + [rng.randrange(2) for _ in range(11, n)]
+    a_side = [w for w in range(3, n) if not side[w]]
+    b_side = [w for w in range(n) if side[w]]
+    edges = set()
+    common = rng.sample(b_side, bound)
+    for w in b_side:
+        if w in common:
+            edges |= {(1, w), (2, w)}
+        else:
+            edges |= {(x, w) for x in rng.sample((1, 2), rng.randrange(2))}
+    if bound == 3 and rng.randrange(2):
+        edges |= {(a_side[0], w) for w in common}  # K_{3,3} on {1, 2, x} x common
+    elif bound == 3:
+        edges |= {(x, w) for x in a_side[:4] for w in b_side[:4]}  # K_{4,4}
+    p = rng.choice((0.2, 0.4, 0.6))
+    edges |= {(x, w) for x in a_side for w in b_side if rng.random() < p}
+    return Graph.from_edges(n, {(min(e), max(e)) for e in edges})
+
+
+def test_rule_two_count_matches_the_reference_at_every_bound():
+    # c(0, 1) = 0 and c(1, 2) = 0..3; at 3 the rule compares each a < v on
+    # its row, below it reads the bitwise counts
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(400):
+        bound = rng.randrange(4)
+        g = _rule_two_graph(rng, bound)
+        assert (g.rows[0] & g.rows[1]).bit_count() == 0
+        assert (g.rows[1] & g.rows[2]).bit_count() == bound
+        for v in range(2, g.n):
+            # the rule's state: rows 0..v final, later rows on columns < v
+            rows = list(g.rows[: v + 1]) + [r & ((1 << v) - 1) for r in g.rows[v + 1 :]]
+            got = _common_neighbours_raise(rows, v)
+            assert got == common_neighbours_raise_reference(rows, v)
+            seen.add((bound, got))
+    assert seen == {(b, x) for b in range(4) for x in (False, True)}
 
 
 def _maximal_labeling(g):
@@ -722,7 +820,7 @@ def test_generic_route_leaf_count_and_class_list_are_pinned(n, k, leaves, digest
 
 _REFERENCE_CASES = [
     (n, k) for n in range(4, 10) for k in range(2, n - 1) if (n * k) % 2 == 0
-] + [(10, 3), (12, 3), (10, 4), (11, 4), pytest.param(14, 3, marks=pytest.mark.slow)]
+] + [(10, 3), (12, 3), (10, 4), (11, 4), (12, 2), (20, 2), pytest.param(14, 3, marks=pytest.mark.slow)]
 
 
 def _record_rule_calls(monkeypatch, module, name):
@@ -808,3 +906,31 @@ def test_full_searches_repeat_on_a_cold_cache(cold_class_cache, monkeypatch):
         assert sum(len(list(enumerate_regular(spec))) for spec in specs) == 110
         seen.append({key: counts[key] - before[key] for key in counts})
     assert seen[0] == seen[1] == {"calls": 340 + 39, "full": 110}
+
+
+def test_canonical_search_work_is_pinned(cold_class_cache, monkeypatch):
+    # one cold `enumerate`-shaped request; these counts move if the pruning
+    # of the canonical search (orbits, jumps back, the leaf memo) changes
+    cold_class_cache()
+    counts = Counter()
+    real_refine, real_run = canon._refine, canon._CanonSearch.run
+
+    def refine(*args):
+        counts["refine"] += 1
+        return real_refine(*args)
+
+    def run(self):
+        labeling = real_run(self)
+        if self.hit is None:
+            counts.update(full=1, leaves=len(self.leaves), generators=len(self.generators))
+        else:
+            counts["hits"] += 1
+        return labeling
+
+    monkeypatch.setattr(canon, "_refine", refine)
+    monkeypatch.setattr(canon._CanonSearch, "run", run)
+    specs = (RegularGenSpec(3, 12), RegularGenSpec(4, 9))
+    assert sum(len(list(enumerate_regular(spec))) for spec in specs) == 110
+    assert dict(counts) == {
+        "full": 110, "hits": 269, "leaves": 951, "generators": 299, "refine": 2897
+    }
