@@ -201,10 +201,7 @@ class _CanonSearch:
             if v in closure:
                 continue
             explored.append(v)
-            if applicable:
-                closure |= orbit_closure([v], applicable)
-            else:
-                closure.add(v)
+            closure |= orbit_closure([v], applicable)
             refined = _individualize(self.rows, cells, tgt, v)
             resume = self._descend(refined, prefix + (v,), prefix_mask | 1 << v)
             if resume < len(prefix):

@@ -272,10 +272,9 @@ def _common_neighbours_raise(rows: list[int], v: int) -> bool:
     Rule 1 counts each neighbour a < v on its row. Rule 2 reads c(a, v)
     as the number of v's neighbours w whose rows hold column a, so it
     takes the at most k rows of rv, not the v rows below it: folding
-    them in one at a time, `once`, `twice` and `thrice` hold the columns
-    seen in at least one, two and three of them, and a count above a
-    bound b <= 2 is a bit of the (b+1)-th mask below column v. A bound
-    above 2 (a K_{3,3}-like piece) compares each a < v on its row.
+    them in one at a time, held[j] keeps the columns seen in more than j
+    of them, so a count above the bound b is a bit of held[b] below
+    column v.
 
     No class loses its lexicographically largest labeling. Its row 0 is
     {1..k}, so row 1 reads 1^c 0^(k-1-c) 1^(k-1-c) 0... from column 2
@@ -299,18 +298,18 @@ def _common_neighbours_raise(rows: list[int], v: int) -> bool:
     if top or v < 2:
         return False
     bound = (rows[1] & rows[2]).bit_count()
-    if bound > 2:
-        return any((rows[a] & rv).bit_count() > bound for a in range(v))
-    once = twice = thrice = 0
+    held = [0] * (bound + 1)  # held[j]: the columns in more than j of the rows seen
     q = rv
     while q:
         low = q & -q
         r = rows[low.bit_length() - 1]
-        thrice |= twice & r
-        twice |= once & r
-        once |= r
+        j = bound
+        while j:
+            held[j] |= held[j - 1] & r
+            j -= 1
+        held[0] |= r
         q ^= low
-    return bool((once, twice, thrice)[bound] & ((1 << v) - 1))
+    return bool(held[bound] & ((1 << v) - 1))
 
 
 def _pruned_labeled_regular(n: int, k: int):

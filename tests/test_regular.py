@@ -742,8 +742,8 @@ def _rule_two_graph(rng, bound):
 
 
 def test_rule_two_count_matches_the_reference_at_every_bound():
-    # c(0, 1) = 0 and c(1, 2) = 0..3; at 3 the rule compares each a < v on
-    # its row, below it reads the bitwise counts
+    # c(0, 1) = 0 and c(1, 2) = 0..3, so the bitwise count reads each of
+    # its masks held[0..3]
     rng = random.Random(53)
     seen = set()
     for _ in range(400):
