@@ -6,9 +6,10 @@ cell. Each leaf is compared with the first leaf and the best leaf only.
 A leaf equal to one of them gives an automorphism that fixes their
 common prefix pointwise and maps the earlier leaf's branch onto this
 one, so the search jumps back to the depth where the two paths part.
-Recorded automorphisms fixing the current prefix also prune sibling
-branches. The canonical form of a graph is the graph6 string of the
-best relabeling; two graphs are isomorphic iff their forms are equal.
+Each level merges the recorded automorphisms that fix its prefix into a
+union-find of orbits, once each, and skips candidates in explored
+orbits. The canonical form of a graph is the graph6 string of the best
+relabeling; two graphs are isomorphic iff their forms are equal.
 
 A caller that canonizes many graphs can pass one `known` dict to every
 call: it maps the relabeled rows of each leaf of the full searches so
@@ -28,7 +29,7 @@ class list are then one per class: 94, 60 and 266 at (k, n) = (3, 12),
 from __future__ import annotations
 
 from . import graph6
-from .graphs import Graph, permuted_rows, relabel
+from .graphs import Graph, bits, mask_of, permuted_rows, relabel
 
 # search-node budget of one find_coaffination call
 COAFF_NODE_CAP = 200_000
@@ -137,22 +138,6 @@ def _first_target_cell(cells: list[int]) -> int:
     return best
 
 
-def orbit_closure(seed: list[int], gens: list[tuple[int, ...]]) -> set[int]:
-    """The points reachable from `seed` under the permutations `gens`."""
-    out = set(seed)
-    if not gens:
-        return out
-    frontier = list(seed)
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = g[v]
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return out
-
-
 class _CanonSearch:
     def __init__(self, g: Graph, known: dict[tuple[int, ...], Graph] | None = None):
         self.rows = g.rows
@@ -166,47 +151,62 @@ class _CanonSearch:
         self.leaves: list[tuple[int, ...]] = []  # relabeled rows of every leaf, kept for `known`
 
     def run(self) -> list[int]:
+        """Search as one loop over a stack of levels; return the best labeling.
+
+        Level i picks the i-th vertex of the path. It holds its cells, the
+        target cell's index, `left` (the cell's vertices neither tried nor in
+        an explored orbit), its prefix, how many generators it has merged,
+        and its orbits: `root` maps each vertex of a class of two or more to
+        the class's root, and `members` each root to the class's mask. A
+        leaf's resume depth d keeps levels 0..d.
+        """
         if self.n == 0:
             return []
+        rows, gens, moved = self.rows, self.generators, self.moved
         full = (1 << self.n) - 1
-        cells = _refine(self.rows, [full], [full])
-        self._descend(cells, (), 0)
-        return self.best[1] if self.best else []  # no best after a stop at a known leaf
-
-    def _descend(self, cells: list[int], prefix: tuple[int, ...], prefix_mask: int) -> int:
-        """Search below `prefix`, whose vertex mask is `prefix_mask`; return
-        the depth at which the search resumes."""
-        tgt = _first_target_cell(cells)
-        if tgt < 0:
-            return self._leaf(cells, prefix)
-        cell = cells[tgt]
-        # orbit pruning: a candidate equivalent to an explored sibling
-        # under automorphisms fixing the prefix pointwise yields the
-        # same leaf strings and is skipped
-        applicable: list[tuple[int, ...]] = []
-        gen_count = -1
-        explored: list[int] = []
-        closure: set[int] = set()
-        q = cell
-        while q:
-            low = q & -q
-            q ^= low
+        cells = _refine(rows, [full], [full])
+        prefix: tuple[int, ...] = ()
+        stack: list[list] = []
+        while True:
+            tgt = _first_target_cell(cells)
+            if tgt >= 0:
+                stack.append([cells, tgt, cells[tgt], prefix, 0, {}, {}])
+            else:
+                del stack[self._leaf(cells, prefix) + 1 :]
+            while stack:  # the deepest level with a candidate left takes the next
+                cells, tgt, left, prefix, merged, root, members = level = stack[-1]
+                if merged < len(gens) and left != cells[tgt]:  # orbits prune only after a pick
+                    # the generators fixing the prefix apply, a set that only grows
+                    # while the level is on the stack; they map the cell onto itself,
+                    # and joining each moved vertex with its image gives their orbits.
+                    # A class holding a vertex no longer in `left` is explored.
+                    prefix_mask = mask_of(prefix)
+                    for i in range(merged, len(gens)):
+                        if moved[i] & prefix_mask:
+                            continue
+                        for x in bits(moved[i] & cells[tgt]):
+                            a, b = root.get(x, x), root.get(gens[i][x], gens[i][x])
+                            if a != b:
+                                ma, mb = members.get(a, 1 << a), members.get(b, 1 << b)
+                                if ma.bit_count() < mb.bit_count():
+                                    a, b, ma, mb = b, a, mb, ma
+                                for u in bits(mb):
+                                    root[u] = a
+                                members[a] = ma = ma | mb
+                                if ma & ~left:
+                                    left &= ~ma
+                    level[4] = len(gens)
+                if left:
+                    break
+                stack.pop()
+            else:
+                break
+            low = left & -left
             v = low.bit_length() - 1
-            if len(self.generators) != gen_count:
-                gen_count = len(self.generators)
-                applicable = [
-                    g for g, moved in zip(self.generators, self.moved) if not moved & prefix_mask
-                ]
-                closure = orbit_closure(explored, applicable)
-            if v in closure:
-                continue
-            explored.append(v)
-            closure |= orbit_closure([v], applicable)
-            refined = _individualize(self.rows, cells, tgt, v)
-            resume = self._descend(refined, prefix + (v,), prefix_mask | 1 << v)
-            if resume < len(prefix):
-                return resume
-        return len(prefix)
+            level[2] = left & ~members.get(root.get(v, v), low)  # v's orbit is explored
+            cells = _individualize(rows, cells, tgt, v)
+            prefix += (v,)
+        return self.best[1] if self.best else []  # no best after a stop at a known leaf
 
     def _leaf(self, cells: list[int], path: tuple[int, ...]) -> int:
         """Record a leaf against the first and best leaves; return the resume depth."""
@@ -218,7 +218,7 @@ class _CanonSearch:
         if self.known is not None:
             if self.first is None and rel in self.known:
                 self.hit = self.known[rel]
-                return -1  # below every depth, so each level unwinds
+                return -1  # below every depth, so the stack empties
             self.leaves.append(rel)
         if self.first is None:
             self.first = self.best = (rel, label, path)

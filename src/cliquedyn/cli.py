@@ -8,9 +8,9 @@ constructor expressions:
     cycle N | complete N | empty N | octahedron M | complete_bipartite A B
     union(EXPR, EXPR, ...) | join(EXPR, EXPR, ...) | complement(EXPR)
 
-Exit codes: 0 success, 1 search found nothing, 2 bad input or an input
-too large for a recursive search (one "<command> error:" line on
-stderr), 3 a resource limit truncated the result.
+Exit codes: 0 success, 1 search found nothing, 2 bad input, or a degree
+1 or 2 order or an expression nesting past the recursion limit (one
+"<command> error:" line on stderr), 3 a resource limit truncated the result.
 """
 from __future__ import annotations
 

@@ -47,9 +47,9 @@ from .graphs import Graph, complement, empty_graph, is_connected
 # An exhaustive route of degree d >= 3 stops at n = 2 * EDGE_CEILING // d
 # by default: cubic at 14, 4-regular at 11. Cold class lists, CPU on a
 # shared 2-vCPU VM under Python 3.11, two runs each: the last orders
-# allowed take (3, 14), 21 edges, 0.8-1.3 s and (4, 11), 22 edges,
-# 0.2-0.4 s; the first refused, 24 edges each, take (3, 16) 8.7-10.0 s
-# and (4, 12) 1.8-2.5 s. An explicit ceiling replaces the default, and
+# allowed take (3, 14), 21 edges, 0.50-0.57 s and (4, 11), 22 edges,
+# 0.18-0.26 s; the first refused, 24 edges each, take (3, 16) 5.9-7.4 s
+# and (4, 12) 1.4 s. An explicit ceiling replaces the default, and
 # ORDER_CEILING_MAX caps both, since the generator keeps every leaf.
 EDGE_CEILING = 22
 ORDER_CEILING_MAX = 20

@@ -3,7 +3,7 @@
 Most decide their question from the definition, exponentially where
 they must, and reuse no fast-path kernel of the function they check.
 They live here, outside the package, so that no library code can call
-one. Fourteen are the library's earlier code, kept as it was when other
+one. Fifteen are the library's earlier code, kept as it was when other
 code replaced it: plain pivoting Bron-Kerbosch, the one-seed greedy
 octahedron search and the two-pass search that followed it, partition
 refinement that counts every vertex into every splitter, the triangle
@@ -12,8 +12,9 @@ the graph6 encoder that packs one bit per step and the decoder that
 unpacks one bit per step, the classifier that canonizes both iterates
 of every repeat, the divergence screen
 that builds the complement and the full join decomposition of every
-graph, the recursive coaffination search, the class list step that
-runs one full canonical search per labeled graph, the generic regular
+graph, the recursive canonical search and coaffination search, the
+class list step that runs one full canonical search per labeled
+graph, the generic regular
 route that tests every swap with its own call, the degree 1 and 2
 class lists built from their structure: one perfect matching, and one
 union of cycles per partition of n, and the 2-switch that the random
@@ -56,8 +57,10 @@ from cliquedyn import (
     triangle_count,
 )
 from cliquedyn.behavior import IterateStat, _fingerprint, _iterate_invariant
+from cliquedyn.canon import _first_target_cell, _individualize, _refine
 from cliquedyn.cliques import OCTAHEDRON_WIDTHS
 from cliquedyn.graph6 import Graph6Error
+from cliquedyn.graphs import permuted_rows
 
 
 def isomorphic_brute(g: Graph, h: Graph) -> bool:
@@ -556,6 +559,91 @@ def find_coaffination_reference(g: Graph, node_cap: int) -> tuple[int, ...] | No
     if backtrack(0):
         return tuple(assigned)
     return None
+
+
+def canonical_search_reference(g: Graph):
+    """The canonical search as the recursion it was: (labeling, leaves, generators).
+
+    `leaves` holds the relabeled rows of every leaf in visit order, and
+    `generators` the automorphisms recorded from leaves equal to the first
+    or the best one. Each level rebuilds the orbits of its explored
+    candidates under the generators that fix its prefix whenever a
+    generator has been recorded since it last looked.
+    """
+    n = g.n
+    rows = g.rows
+    first = best = None  # (relabeled rows, label, path)
+    leaves: list[tuple[int, ...]] = []
+    generators: list[tuple[int, ...]] = []
+    moved: list[int] = []
+
+    def orbit_closure(seed: list[int], gens: list[tuple[int, ...]]) -> set[int]:
+        out = set(seed)
+        frontier = list(seed)
+        while frontier:
+            v = frontier.pop()
+            for gen in gens:
+                if gen[v] not in out:
+                    out.add(gen[v])
+                    frontier.append(gen[v])
+        return out
+
+    def leaf(cells: list[int], path: tuple[int, ...]) -> int:
+        nonlocal first, best
+        label = [cell.bit_length() - 1 for cell in cells]
+        inv = [0] * n
+        for pos, v in enumerate(label):
+            inv[v] = pos
+        rel = tuple(permuted_rows(rows, inv))
+        leaves.append(rel)
+        if first is None:
+            first = best = (rel, label, path)
+            return len(path)
+        for rec_rel, rec_label, rec_path in (first, best):
+            if rel == rec_rel:
+                gen = [0] * n
+                for pos in range(n):
+                    gen[rec_label[pos]] = label[pos]
+                generators.append(tuple(gen))
+                moved.append(mask_of(u for u in range(n) if gen[u] != u))
+                depth = 0
+                while path[depth] == rec_path[depth]:
+                    depth += 1
+                return depth
+        if rel < best[0]:
+            best = (rel, label, path)
+        return len(path)
+
+    def descend(cells: list[int], prefix: tuple[int, ...], prefix_mask: int) -> int:
+        tgt = _first_target_cell(cells)
+        if tgt < 0:
+            return leaf(cells, prefix)
+        applicable: list[tuple[int, ...]] = []
+        gen_count = -1
+        explored: list[int] = []
+        closure: set[int] = set()
+        for v in bits(cells[tgt]):
+            if len(generators) != gen_count:
+                gen_count = len(generators)
+                applicable = [
+                    gen for gen, mask in zip(generators, moved) if not mask & prefix_mask
+                ]
+                closure = orbit_closure(explored, applicable)
+            if v in closure:
+                continue
+            explored.append(v)
+            closure |= orbit_closure([v], applicable)
+            resume = descend(
+                _individualize(rows, cells, tgt, v), prefix + (v,), prefix_mask | 1 << v
+            )
+            if resume < len(prefix):
+                return resume
+        return len(prefix)
+
+    if n:
+        full = (1 << n) - 1
+        descend(_refine(rows, [full], [full]), (), 0)
+    return (best[1] if best else []), leaves, generators
 
 
 def sorted_canonical_reference(graphs) -> tuple[Graph, ...]:

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from cliquedyn import (
     Graph,
+    RegularGenSpec,
     are_isomorphic,
     canon,
     canonical_form,
@@ -20,6 +25,7 @@ from cliquedyn import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_regular,
     find_coaffination,
     is_coaffination,
     matching_graph,
@@ -29,6 +35,7 @@ from cliquedyn import (
 
 from oracles import (
     automorphisms_brute,
+    canonical_search_reference,
     find_coaffination_reference,
     isomorphic_brute,
     refine_reference,
@@ -327,22 +334,22 @@ def test_recorded_generators_are_automorphisms(g):
     assert set(search.generators) <= set(automorphisms_brute(g))
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        complete_graph(15),
-        empty_graph(15),
-        complete_graph(40),
-        empty_graph(40),
-        complete_bipartite(7, 7),
-        complete_bipartite(20, 20),
-        octahedron(8),
-        octahedron(20),
-        matching_graph(8),
-        disjoint_union([complete_graph(4)] * 3),
-    ],
-    ids=["K15", "E15", "K40", "E40", "K7_7", "K20_20", "O8", "O20", "8K2", "3K4"],
-)
+SYMMETRIC_SHAPES = [
+    complete_graph(15),
+    empty_graph(15),
+    complete_graph(40),
+    empty_graph(40),
+    complete_bipartite(7, 7),
+    complete_bipartite(20, 20),
+    octahedron(8),
+    octahedron(20),
+    matching_graph(8),
+    disjoint_union([complete_graph(4)] * 3),
+]
+SYMMETRIC_IDS = ["K15", "E15", "K40", "E40", "K7_7", "K20_20", "O8", "O20", "8K2", "3K4"]
+
+
+@pytest.mark.parametrize("g", SYMMETRIC_SHAPES, ids=SYMMETRIC_IDS)
 def test_search_leaves_on_symmetric_graphs_are_at_most_n(g, monkeypatch):
     leaves = 0
     real_leaf = canon._CanonSearch._leaf
@@ -360,6 +367,60 @@ def test_search_leaves_on_symmetric_graphs_are_at_most_n(g, monkeypatch):
     for pos, v in enumerate(label):
         inv[v] = pos
     assert canonical_graph(g) == relabel(g, inv)
+
+
+def _search_triple(g):
+    """(labeling, leaf rows in visit order, generators) of one stack search."""
+    search = canon._CanonSearch(g, {})  # an empty memo records every leaf and hits none
+    return search.run(), search.leaves, search.generators
+
+
+def _cubic_10_inputs():
+    # here a level meets orbits of two or more unexplored vertices, and
+    # once it explores one vertex of such an orbit it skips all the others
+    rng = random.Random(29)
+    out = []
+    for g in enumerate_regular(RegularGenSpec(3, 10)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out += [g, relabel(g, perm)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [_canon_pin_inputs, lambda: SYMMETRIC_SHAPES, _cubic_10_inputs],
+    ids=["pinned", "symmetric", "cubic-10"],
+)
+def test_canonical_search_matches_recursive_reference(inputs):
+    # the stack search with its per-level orbits makes the recursive
+    # search's decisions: the same leaves in the same order, the same
+    # generators and the same labeling
+    for g in inputs():
+        assert _search_triple(g) == canonical_search_reference(g)
+
+
+@settings(deadline=None)
+@given(graphs(max_n=9))
+def test_canonical_search_matches_recursive_reference_on_small_graphs(g):
+    assert _search_triple(g) == canonical_search_reference(g)
+
+
+def test_empty_graph_past_a_recursion_limit_of_100_canonizes_and_classifies():
+    # the canonical search keeps its levels on a stack: E_200's first path
+    # individualizes 199 vertices, twice the frames the limit allows
+    probe = (
+        "import sys; from cliquedyn import canonical_form, classify_behavior, empty_graph, encode; "
+        "sys.setrecursionlimit(100); g = empty_graph(200); r = classify_behavior(g); "
+        "print(canonical_form(g) == encode(g), r.status, r.tail, r.period)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(canon.__file__).parents[1])},
+    )
+    assert (out.returncode, out.stdout) == (0, "True convergent 0 1\n"), out.stderr[-300:]
 
 
 # -- the leaf memo of canonical_graph -----------------------------------------

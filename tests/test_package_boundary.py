@@ -3,8 +3,9 @@
 The library stays stdlib-only, never imports the test helpers, and
 exposes none of the reference implementations in `oracles.py` nor the
 helpers deleted because no library code called them. It never sets
-the interpreter's recursion limit. Sources are read
-with `ast`, so an import that only runs on some path is still seen.
+the interpreter's recursion limit, and only the four functions listed
+below call themselves. Sources are read with `ast`, so an import that
+only runs on some path is still seen.
 Importing the package loads no process pool until a census asks for one.
 """
 import ast
@@ -100,6 +101,37 @@ def test_package_never_sets_the_recursion_limit():
     # recursive search is refused, not given more stack; the name may not
     # appear at all, so no import, alias or getattr string gets round it
     assert [path.name for path in MODULES if "setrecursionlimit" in path.read_text()] == []
+
+
+def _calls_itself(func: ast.FunctionDef) -> bool:
+    """Whether `func`'s body calls its own name, bare or as a method of `self`."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == func.name:
+                return True
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == func.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "self"
+            ):
+                return True
+    return False
+
+
+def test_only_the_listed_functions_recurse():
+    # `_regular_classes` calls itself once, for the complement's degree;
+    # `_as_lists` and `parse_expr` follow the nesting of their input; only
+    # `place`, one row per call, goes as deep as the order. The canonical
+    # and coaffination searches keep their levels on explicit stacks.
+    recursive = sorted(
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and _calls_itself(node)
+    )
+    assert recursive == ["_as_lists", "_regular_classes", "parse_expr", "place"]
 
 
 def test_import_leaves_the_process_pool_unloaded():
